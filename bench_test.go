@@ -1,8 +1,8 @@
 // Package repro's root benchmarks regenerate every table and figure from
 // the paper's evaluation in quick mode, one benchmark per artifact, and
 // report the headline metric of each as testing.B custom metrics. The full
-// runs (paper-scale durations) are driven by cmd/rssbench; EXPERIMENTS.md
-// records paper-vs-measured values for both.
+// runs (paper-scale durations) are driven by cmd/rssbench. The live stack's
+// benchmark is a separate module: see bench/README.md.
 //
 // Reported custom metrics (all latencies in milliseconds of virtual time):
 //

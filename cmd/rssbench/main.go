@@ -1,6 +1,6 @@
 // Command rssbench regenerates the tables and figures from the paper's
 // evaluation (§6, §7) on the simulated substrate. See DESIGN.md for the
-// per-experiment index and EXPERIMENTS.md for recorded results.
+// per-experiment index and bench/README.md for the live stack's benchmark.
 //
 // Usage:
 //

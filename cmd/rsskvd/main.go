@@ -90,7 +90,7 @@ var (
 	slowOp     = flag.Duration("slowop", 0, "kv mode: log any transaction slower than this with its per-stage timeline (0 disables)")
 	pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	epoch      = flag.Uint64("epoch", 0, "kv mode: view epoch this leader serves (0 = default 1); stamped on every replication entry and WAL record")
-	syncRepl   = flag.Bool("sync-repl", false, "kv/replica mode: synchronous replication — withhold responses until a live follower acknowledged the batch (needs -data-dir); required for acknowledged writes to survive failover")
+	syncRepl   = flag.Bool("sync-repl", false, "kv/replica mode: synchronous replication — withhold responses until a live follower acknowledged the batch; required for acknowledged writes to survive failover")
 	promoAfter = flag.Duration("promote-after", 0, "replica mode: self-promote to leader when the leader has answered nothing for this long (0 = only explicit OpPromote orders)")
 	promoAddr  = flag.String("promote-addr", "127.0.0.1:0", "replica mode: address the promoted server listens on")
 	noFence    = flag.Bool("no-fence", false, "replica mode CHAOS: promote without fencing — keep following and acknowledging the old leader while serving as the new one (split brain; recorded histories must be rejected)")

@@ -397,7 +397,10 @@ func (s *Server) replicate(key, value string) {
 		return
 	}
 	ts := truetime.Timestamp(s.seq)
-	s.repl.Append(replication.EntryCommit, s.seq, ts, ts, []wire.KV{{Key: key, Value: value}})
+	s.repl.AppendBatch([]replication.Entry{{
+		Kind: replication.EntryCommit, TxnID: s.seq, TS: ts, Watermark: ts,
+		Writes: []wire.KV{{Key: key, Value: value}},
+	}})
 }
 
 // loop drains submitted closures until Close.

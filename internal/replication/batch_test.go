@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rsskv/internal/truetime"
 	"rsskv/internal/wire"
 )
 
@@ -21,8 +22,14 @@ func batchFixture() []Entry {
 	}
 }
 
+// appendOne appends a single entry: the tests' shorthand for a one-entry
+// AppendBatch.
+func appendOne(g *Group, kind EntryKind, txnID uint64, ts, wm truetime.Timestamp, writes []wire.KV) {
+	g.AppendBatch([]Entry{{Kind: kind, TxnID: txnID, TS: ts, Watermark: wm, Writes: writes}})
+}
+
 // TestAppendBatchEquivalence: one AppendBatch must be indistinguishable
-// from N sequential Appends on both follower paths — the retained log a
+// from N one-entry appends on both follower paths — the retained log a
 // pull replica drains, and the applied state plus acknowledgments of an
 // in-process channel follower.
 func TestAppendBatchEquivalence(t *testing.T) {
@@ -35,7 +42,7 @@ func TestAppendBatchEquivalence(t *testing.T) {
 			g.AppendBatch(es) // Seqs assigned inside
 		} else {
 			for _, e := range es {
-				g.Append(e.Kind, e.TxnID, e.TS, e.Watermark, e.Writes)
+				appendOne(g, e.Kind, e.TxnID, e.TS, e.Watermark, e.Writes)
 			}
 		}
 		return g, g.Transport(0)

@@ -85,7 +85,7 @@ func (l *testLeader) append(key, value string) truetime.Timestamp {
 	l.seqTS++
 	ts := truetime.Timestamp(l.seqTS * 10)
 	l.store.Write(key, value, ts)
-	l.g.Append(EntryCommit, uint64(l.seqTS), ts, ts, []wire.KV{{Key: key, Value: value}})
+	appendOne(l.g, EntryCommit, uint64(l.seqTS), ts, ts, []wire.KV{{Key: key, Value: value}})
 	return ts
 }
 

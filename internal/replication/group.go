@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rsskv/internal/truetime"
-	"rsskv/internal/wire"
 )
 
 // DefaultRetain is the default cap on retained log entries per group. A
@@ -18,7 +17,7 @@ const DefaultRetain = 4096
 // Group is the replication group under one shard: the shard apply loop is
 // the primary and appends; transports carry entries to follower replicas.
 // Group is a pure leader-side sequencer over []Transport — it never sees a
-// concrete replica type. Append must come from a single appender (the
+// concrete replica type. AppendBatch must come from a single appender (the
 // shard apply loop); everything else is safe from any goroutine.
 //
 // For pull transports (out-of-process replicas) the group retains a
@@ -88,7 +87,7 @@ func (g *Group) SetRetain(n int) {
 }
 
 // Attach adds a transport to the group (a replica joining). Safe against
-// concurrent Append.
+// concurrent AppendBatch.
 func (g *Group) Attach(t Transport) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -228,11 +227,17 @@ func (g *Group) Transport(i int) Transport {
 	return g.transports[i]
 }
 
-// Append replicates one log entry: push transports are offered it
-// directly, pull transports find it in the retained log. It must be called
-// from the shard apply loop (the single appender) and never blocks — a
-// push follower whose channel is full is detached, and pull followers are
-// bounded by the retention cap, not by the leader.
+// AppendBatch replicates a batch of log entries under a single lock
+// acquisition and transport offer — the amortization that makes batched
+// shard applies pay off on the replication path. Push transports are
+// offered the batch directly, pull transports find it in the retained log.
+// It must be called from the shard apply loop (the single appender) and
+// never blocks — a push follower whose channel is full is detached, and
+// pull followers are bounded by the retention cap, not by the leader.
+// Entries are sequenced in slice order; the Seq fields are assigned here
+// (callers leave them zero). The slice is copied — the copy is offered to
+// every transport as shared read-only data — so the caller may reuse its
+// buffer immediately.
 //
 // Heartbeats are neither sequenced nor retained: they carry only a
 // watermark, so push transports get them with Seq 0 (the replica's
@@ -241,34 +246,19 @@ func (g *Group) Transport(i int) Transport {
 // the log means the retention cap counts real history — at the default
 // 250µs heartbeat interval, retained heartbeats would dilute a
 // 4096-entry cap to about one second of log and push every transient
-// replica stall into snapshot catch-up.
-func (g *Group) Append(kind EntryKind, txnID uint64, ts, watermark truetime.Timestamp, writes []wire.KV) {
-	g.appendOwned([]Entry{{Kind: kind, TxnID: txnID, TS: ts, Watermark: watermark, Writes: writes}})
-}
-
-// AppendBatch replicates a batch of log entries under a single lock
-// acquisition and transport offer — the amortization that makes batched
-// shard applies pay off on the replication path. Entries are sequenced in
-// slice order with the same semantics as N Append calls; the Seq fields
-// are assigned here (callers leave them zero). The slice is copied, so the
-// caller may reuse its buffer immediately.
+// replica stall into snapshot catch-up. (Batches are all-data or a lone
+// heartbeat in practice, but mixtures work.)
+//
 // It returns the sequence number assigned to the last non-heartbeat entry
-// (the group's position after the batch) — what a durable leader records
-// so recovery can hand replicas the exact log position they resync from.
+// (the group's position after the batch; 0 from a closed or fenced group)
+// — what a durable leader records so recovery can hand replicas the exact
+// log position they resync from.
 func (g *Group) AppendBatch(entries []Entry) uint64 {
 	if len(entries) == 0 {
 		return g.NextSeq()
 	}
 	es := make([]Entry, len(entries))
 	copy(es, entries)
-	return g.appendOwned(es)
-}
-
-// appendOwned sequences and replicates a batch the group now owns. The
-// slice is offered to every transport as shared read-only data and its
-// non-heartbeat entries (batches are all-data or a lone heartbeat in
-// practice, but mixtures work) are retained for pull replicas.
-func (g *Group) appendOwned(es []Entry) uint64 {
 	g.mu.Lock()
 	if g.closed || g.fenced {
 		g.mu.Unlock()
@@ -518,7 +508,7 @@ func (g *Group) TSafe() truetime.Timestamp {
 }
 
 // Close detaches and closes every transport and wakes pull waiters. The
-// caller must guarantee no concurrent Append (the server stops shard loops
+// caller must guarantee no concurrent AppendBatch (the server stops shard loops
 // first).
 func (g *Group) Close() {
 	g.mu.Lock()

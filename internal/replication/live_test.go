@@ -49,7 +49,7 @@ func TestFollowerConvergence(t *testing.T) {
 	defer g.Close()
 	for i := 1; i <= 100; i++ {
 		ts := truetime.Timestamp(i * 10)
-		g.Append(EntryCommit, uint64(i), ts, ts, []wire.KV{{Key: fmt.Sprintf("k%d", i%7), Value: fmt.Sprintf("v%d", i)}})
+		appendOne(g, EntryCommit, uint64(i), ts, ts, []wire.KV{{Key: fmt.Sprintf("k%d", i%7), Value: fmt.Sprintf("v%d", i)}})
 	}
 	for i := 0; i < g.Transports(); i++ {
 		f := g.Transport(i)
@@ -72,7 +72,7 @@ func TestReadParksUntilWatermarkCovers(t *testing.T) {
 	g := NewGroup(0, 1, Chaos{})
 	defer g.Close()
 	f := chanT(t, g, 0)
-	g.Append(EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v1"}})
+	appendOne(g, EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v1"}})
 	waitFor(t, "first apply", func() bool { return f.TSafe() >= 10 })
 
 	done := make(chan []Val, 1)
@@ -89,7 +89,7 @@ func TestReadParksUntilWatermarkCovers(t *testing.T) {
 		t.Fatal("read at t_read above t_safe served without waiting")
 	case <-time.After(20 * time.Millisecond):
 	}
-	g.Append(EntryCommit, 2, 20, 30, []wire.KV{{Key: "k", Value: "v2"}})
+	appendOne(g, EntryCommit, 2, 20, 30, []wire.KV{{Key: "k", Value: "v2"}})
 	vals := <-done
 	if vals == nil || vals[0].Value != "v2" || vals[0].TS != 20 {
 		t.Fatalf("woken read = %+v, want v2@20", vals)
@@ -124,7 +124,7 @@ func TestFollowerNeverServesAboveTSafe(t *testing.T) {
 				kind = EntryCommit
 				writes = []wire.KV{{Key: fmt.Sprintf("k%d", rng.Intn(9)), Value: fmt.Sprintf("v%d", i)}}
 			}
-			g.Append(kind, uint64(i), wm+1, wm, writes)
+			appendOne(g, kind, uint64(i), wm+1, wm, writes)
 		}
 	}()
 
@@ -164,7 +164,7 @@ func TestFollowerNeverServesAboveTSafe(t *testing.T) {
 func TestRouteSkipsLaggingFollower(t *testing.T) {
 	g := NewGroup(0, 2, Chaos{})
 	defer g.Close()
-	g.Append(EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v"}})
+	appendOne(g, EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v"}})
 	for i := 0; i < g.Transports(); i++ {
 		f := g.Transport(i)
 		waitFor(t, "apply", func() bool { return f.Acked() >= 10 })
@@ -187,7 +187,7 @@ func TestKilledFollowerFailsReads(t *testing.T) {
 	g := NewGroup(0, 1, Chaos{})
 	defer g.Close()
 	f := g.Transport(0)
-	g.Append(EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v"}})
+	appendOne(g, EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v"}})
 	waitFor(t, "apply", func() bool { return f.Acked() >= 10 })
 	f.Kill()
 	if g.Route(5, 0) != nil {
@@ -197,7 +197,7 @@ func TestKilledFollowerFailsReads(t *testing.T) {
 		t.Fatal("killed follower served a read")
 	}
 	for i := 0; i < 2*entryBuffer; i++ {
-		g.Append(EntryPrepare, uint64(i+2), 20, 19, nil)
+		appendOne(g, EntryPrepare, uint64(i+2), 20, 19, nil)
 	}
 }
 
@@ -208,10 +208,10 @@ func TestDropAcksFreezesAdvertisedTSafe(t *testing.T) {
 	g := NewGroup(0, 1, Chaos{})
 	defer g.Close()
 	f := chanT(t, g, 0)
-	g.Append(EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v1"}})
+	appendOne(g, EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v1"}})
 	waitFor(t, "apply", func() bool { return f.Acked() >= 10 })
 	f.DropAcks()
-	g.Append(EntryCommit, 2, 20, 20, []wire.KV{{Key: "k", Value: "v2"}})
+	appendOne(g, EntryCommit, 2, 20, 20, []wire.KV{{Key: "k", Value: "v2"}})
 	waitFor(t, "silent apply", func() bool { return f.TSafe() >= 20 })
 	if f.Acked() != 10 {
 		t.Fatalf("acked watermark advanced to %d after DropAcks", f.Acked())
@@ -230,14 +230,23 @@ func TestDropAcksFreezesAdvertisedTSafe(t *testing.T) {
 // its transport fills; the leader never blocks and the follower stops
 // being routable instead of applying a gapped log.
 func TestOverflowDetaches(t *testing.T) {
-	// A large apply delay wedges the loop inside the first entry, so the
-	// buffer fills and the next offer must detach rather than block.
-	g := NewGroup(0, 1, Chaos{DelayedApplies: true, ApplyDelay: 20 * time.Millisecond})
+	g := NewGroup(0, 1, Chaos{})
 	f := chanT(t, g, 0)
-	for i := 0; i < entryBuffer+10; i++ {
-		g.Append(EntryCommit, uint64(i+1), truetime.Timestamp(i+1), truetime.Timestamp(i+1),
+	// Wedge the follower's loop inside a control closure, so nothing
+	// drains the entry channel: exactly entryBuffer offers fit, and the
+	// next one must detach rather than block.
+	parked, unwedge := make(chan struct{}), make(chan struct{})
+	f.r.ctrl <- func() { close(parked); <-unwedge }
+	<-parked
+	defer close(unwedge)
+	for i := 0; i < entryBuffer; i++ {
+		appendOne(g, EntryCommit, uint64(i+1), truetime.Timestamp(i+1), truetime.Timestamp(i+1),
 			[]wire.KV{{Key: "k", Value: "v"}})
 	}
+	if f.detached.Load() {
+		t.Fatal("follower detached before its transport was full")
+	}
+	appendOne(g, EntryCommit, entryBuffer+1, entryBuffer+1, entryBuffer+1, []wire.KV{{Key: "k", Value: "v"}})
 	if !f.detached.Load() {
 		t.Fatal("follower not detached after transport overflow")
 	}
@@ -256,7 +265,7 @@ func TestChaosDelayedAppliesAcksEarly(t *testing.T) {
 	g := NewGroup(0, 1, Chaos{DelayedApplies: true, ApplyDelay: 50 * time.Millisecond})
 	defer g.Close()
 	f := chanT(t, g, 0)
-	g.Append(EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v1"}})
+	appendOne(g, EntryCommit, 1, 10, 10, []wire.KV{{Key: "k", Value: "v1"}})
 	waitFor(t, "early ack", func() bool { return f.Acked() >= 10 })
 	vals, ok, _ := f.Read(10, []string{"k"}, readTimeout)
 	if !ok {
@@ -323,7 +332,7 @@ func (p *pullStub) Close()    {}
 func appendN(g *Group, from, n int) {
 	for i := from; i < from+n; i++ {
 		ts := truetime.Timestamp(i * 10)
-		g.Append(EntryCommit, uint64(i), ts, ts, []wire.KV{{Key: "k", Value: fmt.Sprintf("v%d", i)}})
+		appendOne(g, EntryCommit, uint64(i), ts, ts, []wire.KV{{Key: "k", Value: fmt.Sprintf("v%d", i)}})
 	}
 }
 
@@ -452,7 +461,7 @@ func TestHeartbeatsNotRetained(t *testing.T) {
 	g.Attach(&pullStub{})
 	appendN(g, 1, 3) // data entries 1..3, watermarks 10..30
 	for i := 0; i < 100; i++ {
-		g.Append(EntryHeartbeat, 0, 0, truetime.Timestamp(1000+i), nil)
+		appendOne(g, EntryHeartbeat, 0, 0, truetime.Timestamp(1000+i), nil)
 	}
 	if got := g.NextSeq(); got != 3 {
 		t.Fatalf("heartbeats consumed sequence numbers: nextSeq = %d, want 3", got)

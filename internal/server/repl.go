@@ -201,8 +201,8 @@ func (srv *Server) replSnapshot(req *wire.Request, cw *connWriter) {
 		// Flush the in-progress apply batch first: its writes are already
 		// in the store, so the cut's log position must cover its entries
 		// or replay-after-seq would re-apply (or worse, gap past) them.
-		// flush (not flushRepl) so the cut never hands a replica state the
-		// leader hasn't made durable yet.
+		// The whole flush, sync included, so the cut never hands a replica
+		// state the leader hasn't made durable yet.
 		s.flush()
 		var cut snapCut
 		s.store.Dump(func(key string, v mvstore.Version) {

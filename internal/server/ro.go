@@ -87,11 +87,9 @@ type roWaiter struct {
 	parkedAt time.Time
 
 	reply chan roShardReply
-	// sync receives the flush outcome covering a leader-served portion
-	// (durability plus, under SyncRepl, the follower ack); roReply
-	// registers the deferral and marks the reply so the coordinator knows
-	// to drain it before responding.
-	sync chan bool
+	// join is the coordinator's exposure join: roReply queues one release
+	// of it, covering the versions this portion read.
+	join *exposureJoin
 }
 
 // roVal is a versioned read result, shard → coordinator.
@@ -113,18 +111,13 @@ type roShardReply struct {
 	vals    []roVal
 	fvals   []replication.Val // follower-served portion (instead of vals)
 	skipped []roSkip
-	// follower marks a portion served by a replica; leaked marks one
-	// whose key slice may still be referenced by a timed-out replica
-	// read (the scratch must not be pooled).
+	// follower marks a portion served by a replica — it owes the
+	// coordinator's join nothing, because followers only ever see entries
+	// that were already durable on the leader; leaked marks a portion
+	// whose key slice may still be referenced by a timed-out replica read
+	// (the scratch must not be pooled).
 	follower bool
 	leaked   bool
-	// sync marks a leader-served portion whose versions may sit in the
-	// shard's current unsynced (or, under SyncRepl, unacked) batch: the
-	// shard registered a flush deferral and the coordinator must drain
-	// one outcome from the waiter's sync channel before responding.
-	// Follower portions carry none — followers only ever see entries that
-	// were already durable on the leader.
-	sync bool
 }
 
 // roScratch is the per-request fan-out state of a snapshot read, pooled on
@@ -140,8 +133,8 @@ type roScratch struct {
 	vals     map[string]roVal
 	skipped  []roSkip
 	reply    chan roShardReply
-	syncCh   chan bool // leader-served portions' flush outcomes
-	trace    obs.Trace // per-stage timeline for the slow-op log
+	join     exposureJoin // one release per leader-served portion
+	trace    obs.Trace    // per-stage timeline for the slow-op log
 }
 
 func (srv *Server) newROScratch() *roScratch {
@@ -150,7 +143,7 @@ func (srv *Server) newROScratch() *roScratch {
 		perShard: make([][]string, len(srv.shards)),
 		vals:     make(map[string]roVal),
 		reply:    make(chan roShardReply, len(srv.shards)),
-		syncCh:   make(chan bool, len(srv.shards)),
+		join:     exposureJoin{ch: make(chan struct{}, 1)},
 	}
 }
 
@@ -166,9 +159,6 @@ func (sc *roScratch) release(srv *Server) {
 	}
 	sc.shardIDs = sc.shardIDs[:0]
 	sc.skipped = sc.skipped[:0]
-	for len(sc.syncCh) > 0 {
-		<-sc.syncCh
-	}
 	sc.trace.Reset()
 	srv.roPool.Put(sc)
 }
@@ -245,14 +235,8 @@ func (s *shard) roReply(w *roWaiter) {
 		reply.skipped = append(reply.skipped, roSkip{txnID: id, tp: p.tp, ch: ch})
 	}
 	reply.leaked = w.leaked
-	if s.wal != nil {
-		// The versions just read may sit in the current unsynced batch —
-		// and, under SyncRepl, in a batch the follower has not acknowledged
-		// — so the response waits out the shard's flush deferral, which
-		// covers both (see shard.flush).
-		reply.sync = true
-		s.afterSync(func(ok bool) { w.sync <- ok })
-	}
+	// The versions just read may sit in the current unflushed batch.
+	s.expose(exposure{join: w.join})
 	w.reply <- reply
 }
 
@@ -265,7 +249,7 @@ func (s *shard) roReply(w *roWaiter) {
 // so watermark parks and timeouts across shards overlap instead of
 // serializing; the reply lands on the coordinator's fan-out channel
 // either way.
-func (srv *Server) followerRead(s *shard, f replication.Transport, keys []string, tread, tmin truetime.Timestamp, reply chan roShardReply, sync chan bool) {
+func (srv *Server) followerRead(s *shard, f replication.Transport, keys []string, tread, tmin truetime.Timestamp, reply chan roShardReply, join *exposureJoin) {
 	fvals, ok, abandoned := f.Read(tread, keys, srv.cfg.FollowerReadTimeout)
 	if ok {
 		srv.stats.ROFollower.Add(1)
@@ -278,7 +262,7 @@ func (srv *Server) followerRead(s *shard, f replication.Transport, keys []string
 		return
 	}
 	srv.stats.ROFallback.Add(1)
-	w := &roWaiter{keys: keys, tread: tread, tmin: tmin, leaked: abandoned, reply: reply, sync: sync}
+	w := &roWaiter{keys: keys, tread: tread, tmin: tmin, leaked: abandoned, reply: reply, join: join}
 	if !s.run(func() { s.roRead(w) }) {
 		return // server closing; the coordinator abandons via srv.quit
 	}
@@ -409,19 +393,18 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 		// phantom fallbacks.
 		if s.repl != nil && s.repl.Active() && !chaos {
 			if f := s.repl.Route(tread, lagBudget); f != nil {
-				go srv.followerRead(s, f, ks, tread, tmin, sc.reply, sc.syncCh)
+				go srv.followerRead(s, f, ks, tread, tmin, sc.reply, &sc.join)
 				continue
 			}
 			srv.stats.ROFallback.Add(1)
 		}
-		w := &roWaiter{keys: ks, tread: tread, tmin: tmin, chaos: chaos, reply: sc.reply, sync: sc.syncCh}
+		w := &roWaiter{keys: ks, tread: tread, tmin: tmin, chaos: chaos, reply: sc.reply, join: &sc.join}
 		if !s.run(func() { s.roRead(w) }) {
 			cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: errClosed.Error()})
 			return // abandoned: pending sends may still land on sc.reply
 		}
 	}
 	followerShards := 0
-	nsync := 0
 	for i := 0; i < fanout; i++ {
 		select {
 		case r := <-sc.reply:
@@ -438,9 +421,6 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 				sc.vals[v.Key] = roVal{value: v.Value, ts: v.TS}
 			}
 			sc.skipped = append(sc.skipped, r.skipped...)
-			if r.sync {
-				nsync++
-			}
 		case <-srv.quit:
 			cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: errClosed.Error()})
 			return // abandoned
@@ -470,8 +450,8 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 			continue
 		}
 		select {
-		case out := <-sk.ch:
-			if out.lost {
+		case out, ok := <-sk.ch:
+			if !ok {
 				// The resolution's flush failed (crash, or fenced mid-ack):
 				// the outcome this snapshot would have placed itself against
 				// may not exist in the next view, so the response is dropped.
@@ -483,9 +463,8 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 						sc.vals[kv.Key] = roVal{value: kv.Value, ts: out.tc}
 					}
 				}
-				// No separate durability wait: watcher outcomes are delivered
-				// from the resolving shard's flush deferral, so a received
-				// outcome is already durable and (SyncRepl) follower-acked.
+				// No separate wait: a received outcome has already passed
+				// the resolving shard's exposure gate.
 			}
 		case <-srv.quit:
 			cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: errClosed.Error()})
@@ -493,16 +472,12 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 		}
 	}
 
-	// Read durability — and, under SyncRepl, the follower ack: everything
-	// this snapshot exposes must survive a crash and a failover before
-	// the client may see it. Each leader-served portion registered one
-	// flush deferral; a false outcome means the batch died with the
-	// process (or a fence deposed it), so the response is dropped (the
-	// connection is being torn down anyway).
-	for i := 0; i < nsync; i++ {
-		if !<-sc.syncCh {
-			return // abandoned: scratch leaks like other abandon paths
-		}
+	// The exposure gate: everything this snapshot exposes must survive a
+	// crash and a failover before the client may see it. Each leader-served
+	// portion queued one release; on a failed flush the response is dropped
+	// (the connection is being torn down anyway).
+	if !sc.join.wait(fanout - followerShards) {
+		return // abandoned: scratch leaks like other abandon paths
 	}
 
 	// Render: each key's newest version at or below t_snap. A key with no

@@ -241,7 +241,7 @@ func TestROReadAtExactCommitTimestamp(t *testing.T) {
 	}
 	read := func(tread truetime.Timestamp) roShardReply {
 		reply := make(chan roShardReply, 1)
-		w := &roWaiter{keys: []string{"k"}, tread: tread, reply: reply}
+		w := &roWaiter{keys: []string{"k"}, tread: tread, reply: reply, join: new(exposureJoin)}
 		inject(t, srv, "k", func(s *shard) { s.roRead(w) })
 		return <-reply
 	}

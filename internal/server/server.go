@@ -112,9 +112,8 @@ type Config struct {
 	// for some live follower to acknowledge applying through the shard's
 	// last appended data tail — covering everything the batch's responses
 	// could have observed, not just the batch's own appends — before any
-	// response in the batch is released (requires DataDir —
-	// undurable shards release responses inside the apply closures and have
-	// no deferral point). It is the failover-safety mode: an acknowledged
+	// response in the batch is released, with or without DataDir (see
+	// exposure.go). It is the failover-safety mode: an acknowledged
 	// write is then guaranteed to be present on the follower a view change
 	// promotes, which is what keeps a merged pre/post-failover history RSS.
 	// With no live follower attached the wait degrades to asynchronous
@@ -459,8 +458,8 @@ func (srv *Server) Crashed() bool { return srv.crashed.Load() }
 
 // Crash kills the server the way kill -9 would: every shard log is
 // crashed first — freezing durability where the last fsync left it and
-// failing every outstanding and future durability wait, so nothing is
-// acknowledged past the instant of death — and then the server tears
+// failing every later flush, so nothing is acknowledged past the
+// instant of death — and then the server tears
 // down without the final syncs a clean Close performs. The data
 // directory is left exactly as a real crash would leave it.
 func (srv *Server) Crash() {

@@ -263,12 +263,11 @@ func TestCloseUnblocks(t *testing.T) {
 
 // TestCloseWithInflightDurableWaits drives a clean Close through a
 // durable server while many clients are mid-operation — so at the instant
-// the shard loops are told to quit, operations are parked in
-// wal.WaitDurable. Every one of them must be released (the graceful path
-// syncs the tail batch, then fails the uncovered waits with ErrShutdown,
-// mirroring the crash path's release) rather than stranded: the test
-// fails if any client is still blocked after Close returns, or if the
-// teardown leaks goroutines.
+// the shard loops are told to quit, responses are parked in the shards'
+// release queues behind an fsync. Every one of them must be released (the
+// graceful path flushes the tail batch on loop exit, which runs the queue)
+// rather than stranded: the test fails if any client is still blocked
+// after Close returns, or if the teardown leaks goroutines.
 func TestCloseWithInflightDurableWaits(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv := server.New(server.Config{Shards: 2, DataDir: t.TempDir()})
@@ -281,7 +280,7 @@ func TestCloseWithInflightDurableWaits(t *testing.T) {
 	}
 
 	// Writers hammer until the close reaches them; every iteration's put
-	// waits on WAL durability, so some are always parked in WaitDurable.
+	// waits on WAL durability, so some are always queued behind a flush.
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -78,7 +78,7 @@ type prepEntry struct {
 	writes []wire.KV
 	// watchers are RO coordinators that skipped this transaction and
 	// subscribed to its outcome; each channel is buffered for the single
-	// outcome event.
+	// outcome event (see exposure.watchers).
 	watchers []chan<- prepOutcome
 }
 
@@ -88,12 +88,6 @@ type prepOutcome struct {
 	committed bool
 	tc        truetime.Timestamp
 	writes    []wire.KV // this shard's write set (coordinator filters keys)
-	// lost marks an outcome whose resolution record did not survive its
-	// shard's flush (a crashed log, or a fence deposing this leader while
-	// synchronous replication waited for the follower's ack). A
-	// coordinator folding a lost outcome into a snapshot must abandon its
-	// response: the write it would expose may not exist in the next view.
-	lost bool
 }
 
 // shard is one partition of the keyspace.
@@ -111,33 +105,27 @@ type shard struct {
 	// snapshot reads bounded by their replicated t_safe.
 	repl *replication.Group
 	// replBuf accumulates the current apply batch's log entries, appended
-	// to the group in one AppendBatch per loop drain (flushRepl) so the
-	// group lock, transport hop, and watermark computation are paid per
-	// batch instead of per entry. Loop-only.
+	// to the group in one AppendBatch per loop drain (flush) so the group
+	// lock, transport hop, and watermark computation are paid per batch
+	// instead of per entry. Loop-only.
 	replBuf []replication.Entry
 	// replTail is the highest data sequence this shard has ever appended
 	// to the group — the position a synchronous flush must see
-	// acknowledged before releasing responses. It is the running maximum
-	// of flushRepl's returns, not the current batch's tail: a batch with
-	// no appends of its own (snapshot reads resolved between write
-	// batches) still observed the store state the last append produced,
-	// and releasing its responses before that append is acked would let a
-	// client witness a write that a failover then loses. Loop-only.
+	// acknowledged before releasing. It is the running maximum over
+	// batches, not the current batch's tail: a batch with no appends of its
+	// own (snapshot reads resolved between write batches) still observed
+	// the store state the last append produced. Loop-only.
 	replTail uint64
 
 	// wal is the shard's write-ahead log (nil when Config.DataDir is
 	// unset). Every prepare, commit, and abort the loop applies is
 	// appended as a record and group-committed by flush — at most one
-	// fsync per loop drain — before the batch's entries are offered to
-	// replication or any response that observed the batch's state is
-	// released (see postSync).
+	// fsync per loop drain.
 	wal *wal.Log
-	// postSync defers the current batch's response releases until its
-	// records are durable: flush runs the queue right after the group
-	// commit, with ok=false when a crash ate the batch (the closures must
-	// then drop their sends — a dead process acknowledges nothing).
-	// Loop-only.
-	postSync []func(ok bool)
+	// exposed is the release queue: everything the current apply batch
+	// wants to let out of the shard, held until flush has made the batch
+	// durable and replicated (see exposure.go). Loop-only.
+	exposed []exposure
 	// walBytes counts log bytes synced since the last checkpoint cut;
 	// crossing Config.CheckpointBytes schedules the next checkpoint.
 	// Loop-only.
@@ -201,28 +189,13 @@ func (s *shard) resolvePrepared(txnID uint64, committed bool, tc truetime.Timest
 		return false
 	}
 	delete(s.prepared, txnID)
-	out := prepOutcome{committed: committed, tc: tc, writes: p.writes}
 	if len(p.watchers) > 0 {
-		if s.wal != nil {
-			// Watcher delivery rides the flush deferral: call sites append
-			// the resolution record before resolving, so by the time the
-			// deferral runs the record is durable and — under SyncRepl —
-			// acknowledged by the promotable follower. A coordinator folding
-			// the outcome into its snapshot therefore never exposes a write
-			// the next view could lack; a failed flush delivers the outcome
-			// marked lost instead of never (watchers must always hear back).
-			watchers := p.watchers
-			s.afterSync(func(ok bool) {
-				out.lost = !ok
-				for _, ch := range watchers {
-					ch <- out // buffered for exactly this send
-				}
-			})
-		} else {
-			for _, ch := range p.watchers {
-				ch <- out // buffered for exactly this send
-			}
-		}
+		// Call sites append the resolution record before resolving, so the
+		// flush that releases the outcome covers it.
+		s.expose(exposure{
+			watchers: p.watchers,
+			out:      prepOutcome{committed: committed, tc: tc, writes: p.writes},
+		})
 	}
 	kept := s.roBlocked[:0]
 	for _, w := range s.roBlocked {
@@ -267,7 +240,7 @@ func (s *shard) safeWatermark() truetime.Timestamp {
 }
 
 // replicate buffers one entry for the shard's replication log; the batch
-// is appended by flushRepl at the end of the current loop drain. A no-op
+// is appended by flush at the end of the current loop drain. A no-op
 // on unreplicated shards. Loop-only.
 func (s *shard) replicate(kind replication.EntryKind, txnID uint64, ts truetime.Timestamp, writes []wire.KV) {
 	if s.repl == nil {
@@ -286,121 +259,6 @@ func (s *shard) walAppend(kind wal.Kind, txnID uint64, ts, tee truetime.Timestam
 		Kind: kind, TxnID: txnID, TS: int64(ts), TEE: int64(tee), Writes: writes,
 		Epoch: s.srv.cfg.Epoch,
 	})
-}
-
-// afterSync defers fn until the current apply batch is durable: flush
-// runs the queue right after the batch's group-commit fsync, with
-// ok=false when a crash took durability away — the response fn would
-// have released must then never be sent (but its done accounting must
-// still run). Only meaningful on durable shards; undurable paths call
-// fn(true) directly. Loop-only.
-func (s *shard) afterSync(fn func(ok bool)) {
-	s.postSync = append(s.postSync, fn)
-}
-
-func (s *shard) runPostSync(ok bool) {
-	for i, fn := range s.postSync {
-		fn(ok)
-		s.postSync[i] = nil
-	}
-	s.postSync = s.postSync[:0]
-}
-
-// flush makes the current apply batch durable and replicated, in that
-// order: the WAL's group commit first (at most one fsync per drain),
-// then the replication append — so followers are only ever offered
-// entries whose records are already durable, and a crash can never
-// leave a follower knowing a commit the recovered leader has lost.
-// After a successful sync the post-sync queue (deferred response
-// releases) runs on the loop, then a checkpoint is cut if the log has
-// grown past its budget. On a crashed log the batch is dropped whole:
-// nothing is replicated and every deferred release runs with ok=false.
-// Loop-only.
-func (s *shard) flush() {
-	if s.wal == nil {
-		s.flushRepl(0)
-		return
-	}
-	if s.wal.Pending() == 0 && len(s.postSync) == 0 && len(s.replBuf) == 0 {
-		return
-	}
-	// One watermark for both tails: the log's (recovery floor) and the
-	// replication batch's (follower t_safe).
-	wm := s.safeWatermark()
-	start := time.Now()
-	n, err := s.wal.Sync(int64(wm))
-	if err != nil {
-		for i := range s.replBuf {
-			s.replBuf[i] = replication.Entry{}
-		}
-		s.replBuf = s.replBuf[:0]
-		s.runPostSync(false)
-		return
-	}
-	if n > 0 {
-		s.srv.metrics.walFsync.ObserveSince(start)
-		s.srv.metrics.walBatch.Observe(int64(n))
-		s.walBytes += int64(n)
-		if s.gate != nil {
-			s.gate.noteFsync(time.Since(start))
-		}
-	}
-	if tail := s.flushRepl(wm); tail > s.replTail {
-		s.replTail = tail
-	}
-	if s.srv.cfg.SyncRepl && s.replTail > 0 && len(s.postSync) > 0 {
-		// Synchronous replication: the batch's responses stay withheld until
-		// a live follower has acknowledged applying through the last appended
-		// data tail — the write a failover promotes a follower over is then
-		// guaranteed to be on that follower. The wait covers s.replTail, not
-		// just this batch's appends: a read-only batch appends nothing but
-		// its responses still expose the state of the previous append.
-		// WaitAcked degrades to a no-op with no live follower and fails only
-		// when this leader was fenced mid-wait, in which case the responses
-		// must never leave: the new view may not hold these writes.
-		// The park releases on srv.stopping, not srv.quit: quit closes only
-		// after Close drains the coordinators, and a coordinator queued
-		// behind this stalled apply loop would deadlock the drain.
-		if !s.repl.WaitAcked(s.replTail, s.srv.stopping) {
-			s.runPostSync(false)
-			return
-		}
-	}
-	s.runPostSync(true)
-	s.maybeCheckpoint()
-}
-
-// flushRepl appends the buffered batch to the replication group in one
-// AppendBatch call. The safe-time watermark is computed once, at flush
-// (wm, or here when the caller passes 0), and stamped on the batch's
-// TAIL entry only: by flush time every commit of the batch is in the
-// buffer at or before the tail and the prepared set reflects every
-// in-batch resolution, so the tail honors the watermark contract — but
-// an earlier entry must not carry it, because a transaction that
-// prepared and committed within this same batch has a commit timestamp
-// the flush-time watermark may exceed, and a follower (or pull replica)
-// holding only a prefix ending at that earlier entry would then serve
-// reads it cannot cover. Non-tail entries carry watermark 0, which
-// followers' monotone clamp ignores. Loop-only.
-// It returns the batch's tail sequence number (0 on an empty buffer or a
-// fenced group) — the position a synchronous flush waits acknowledged.
-func (s *shard) flushRepl(wm truetime.Timestamp) uint64 {
-	if len(s.replBuf) == 0 {
-		return 0
-	}
-	if wm == 0 {
-		wm = s.safeWatermark()
-	}
-	s.replBuf[len(s.replBuf)-1].Watermark = wm
-	tail := s.repl.AppendBatch(s.replBuf)
-	s.srv.metrics.replBatch.Observe(int64(len(s.replBuf)))
-	// AppendBatch copied the entries; drop the write-set references so the
-	// reused buffer doesn't pin them.
-	for i := range s.replBuf {
-		s.replBuf[i] = replication.Entry{}
-	}
-	s.replBuf = s.replBuf[:0]
-	return tail
 }
 
 // maybeCheckpoint cuts a checkpoint when the log since the last cut has
@@ -502,15 +360,10 @@ func (s *shard) loop() {
 			batch.Observe(int64(n))
 			s.flush()
 		case <-s.srv.quit:
-			// Graceful exit: sync the tail batch so everything already
-			// appended becomes durable, then release any remaining
-			// WaitDurable parkers — in LSN order, durable waits succeeding
-			// and the rest failing with ErrShutdown — before the loop (the
-			// only syncer) goes away and would strand them forever.
+			// Graceful exit: flush the tail batch so everything already
+			// appended becomes durable and every queued exposure is
+			// released before the loop (the only flusher) goes away.
 			s.flush()
-			if s.wal != nil {
-				s.wal.Shutdown()
-			}
 			return
 		}
 	}
@@ -568,21 +421,8 @@ func (s *shard) get(req *wire.Request, cw *connWriter, done func()) {
 			ID: req.ID, Op: req.Op, OK: true,
 			Value: v.Value, Version: int64(v.TS),
 		}
-		if s.wal == nil {
-			cw.Send(resp)
-			done()
-		} else {
-			// Read durability: the version just read may sit in the current
-			// unsynced batch, so the response rides the batch's group
-			// commit — an acknowledged read is never of state a crash can
-			// take back.
-			s.afterSync(func(ok bool) {
-				if ok {
-					cw.Send(resp)
-				}
-				done()
-			})
-		}
+		// The version just read may sit in the current unflushed batch.
+		s.expose(exposure{cw: cw, resp: resp, done: done})
 		s.lm.Flush()
 		s.srv.stats.Gets.Add(1)
 	}
@@ -599,45 +439,20 @@ func (s *shard) put(req *wire.Request, cw *connWriter, done func()) {
 	apply := func() {
 		ts := s.nextTS()
 		s.store.Write(req.Key, req.Value, ts)
-		// The nil checks are the caller's here (unlike other log call
-		// sites) so the bare in-memory put path stays free of the KV-slice
-		// allocation built for the record and the log entry.
-		if s.wal != nil || s.repl != nil {
-			wkvs := []wire.KV{{Key: req.Key, Value: req.Value}}
-			s.walAppend(wal.KindCommit, uint64(txn.Seq), ts, 0, wkvs)
-			s.replicate(replication.EntryCommit, uint64(txn.Seq), ts, wkvs)
-		}
+		wkvs := []wire.KV{{Key: req.Key, Value: req.Value}}
+		s.walAppend(wal.KindCommit, uint64(txn.Seq), ts, 0, wkvs)
+		s.replicate(replication.EntryCommit, uint64(txn.Seq), ts, wkvs)
 		s.lm.ReleaseAll(txn)
 		s.lm.Flush()
 		s.srv.stats.Puts.Add(1)
-		resp := &wire.Response{ID: req.ID, Op: req.Op, OK: true, Version: int64(ts)}
-		release := func(ok bool) {
-			if !ok {
-				// Crashed before the commit record was durable: the write
-				// was never acknowledged, and must not be now.
-				done()
-				return
-			}
-			if s.srv.cfg.ChaosLostCommitWait || s.srv.clock.After(ts) {
-				// Chaos: acknowledge before ts has definitely passed — the
-				// mutation-side half of the lost-commit-wait fault.
-				cw.Send(resp)
-				done()
-				return
-			}
-			go func() {
-				defer done()
-				s.srv.clock.WaitUntilAfter(ts)
-				cw.Send(resp)
-			}()
-		}
-		if s.wal == nil {
-			release(true)
-			return
-		}
-		// Commit wait and group commit overlap: the response is released
-		// after both the record's fsync and ts passing.
-		s.afterSync(release)
+		// Commit wait and the flush overlap: the response is released after
+		// both the record's flush and ts passing.
+		s.expose(exposure{
+			cw:   cw,
+			resp: &wire.Response{ID: req.ID, Op: req.Op, OK: true, Version: int64(ts)},
+			wait: ts,
+			done: done,
+		})
 	}
 	s.acquireOne(txn, req.Key, locks.Exclusive, apply)
 }

@@ -47,16 +47,15 @@ type txnPlan struct {
 	// closure that the same shard's final closure for the transaction
 	// (apply, or abort's release) is queued behind — and release only runs
 	// after the coordinator drained that final round — so no send can land
-	// after release drains the residue below. syncCh is the exception: its
-	// sends run from the shard flush after the apply closure, so the
-	// success path drains exactly the registered count before releasing,
-	// and every path that cannot (shutdown, a failed sync) leaks the plan
-	// instead of releasing it.
+	// after release drains the residue below.
 	notify  chan shardEvent  // lock grants and wounds (2 events/shard)
 	prepCh  chan prepResult  // prepare outcomes
-	applyCh chan applyResult // apply-phase read results + durability points
+	applyCh chan applyResult // apply-phase read results
 	abortCh chan struct{}    // abort-release completions
-	syncCh  chan bool        // per-shard flush outcomes (durability + repl ack)
+
+	// join collects one release per participant's apply closure, from the
+	// shard flushes that follow them (see exposure.go).
+	join exposureJoin
 
 	trace obs.Trace // per-stage timeline for the slow-op log
 }
@@ -68,14 +67,10 @@ type prepResult struct {
 }
 
 // applyResult is one shard's apply-phase outcome: the read results with
-// their version witnesses, and — on durable shards — whether the shard
-// registered a flush deferral the coordinator must drain from syncCh
-// before acknowledging (covers this shard's commit record, everything
-// the reads observed, and — under SyncRepl — the follower ack gate).
+// their version witnesses.
 type applyResult struct {
 	kvs  []wire.KV
 	vers []int64
-	sync bool
 }
 
 func (srv *Server) newTxnPlan() *txnPlan {
@@ -90,7 +85,7 @@ func (srv *Server) newTxnPlan() *txnPlan {
 		prepCh:   make(chan prepResult, n),
 		applyCh:  make(chan applyResult, n),
 		abortCh:  make(chan struct{}, n),
-		syncCh:   make(chan bool, n),
+		join:     exposureJoin{ch: make(chan struct{}, 1)},
 	}
 }
 
@@ -119,9 +114,6 @@ func (p *txnPlan) release(srv *Server) {
 	}
 	for len(p.abortCh) > 0 {
 		<-p.abortCh
-	}
-	for len(p.syncCh) > 0 {
-		<-p.syncCh
 	}
 	p.trace.Reset()
 	srv.txnPool.Put(p)
@@ -359,22 +351,15 @@ func (srv *Server) runTxn(txnID uint64, readKeys []string, writeKVs []wire.KV) (
 				s.maxTS = tc
 			}
 			if s.prepared[txnID] != nil {
-				// Commit record first, then resolve: watchers folding the
-				// outcome get an LSN that covers the record.
+				// Commit record first, then resolve: the flush that releases
+				// the outcome to watchers then covers the record.
 				s.walAppend(wal.KindCommit, txnID, tc, 0, wkvs)
 				s.resolvePrepared(txnID, true, tc)
 				s.replicate(replication.EntryCommit, txnID, tc, wkvs)
 			}
-			if s.wal != nil {
-				// Even a read-only participant pins a durability point: its
-				// reads may have observed records still in the current batch.
-				// The deferral rides the shard's flush — group commit plus,
-				// under SyncRepl, the follower ack gate — so the transaction
-				// is acknowledged only once every participant's records are
-				// durable and (SyncRepl) on the promotable follower.
-				res.sync = true
-				s.afterSync(func(ok bool) { p.syncCh <- ok })
-			}
+			// Even a read-only participant joins: its reads may have
+			// observed records still in the current batch.
+			s.expose(exposure{join: &p.join})
 			delete(s.waiters, txn)
 			s.lm.ReleaseAll(txn)
 			s.lm.Flush()
@@ -383,16 +368,12 @@ func (srv *Server) runTxn(txnID uint64, readKeys []string, writeKVs []wire.KV) (
 	}
 	byKey := map[string]string{}
 	verByKey := map[string]int64{}
-	nsync := 0
 	for range p.shards {
 		select {
 		case res := <-applyCh:
 			for i, kv := range res.kvs {
 				byKey[kv.Key] = kv.Value
 				verByKey[kv.Key] = res.vers[i]
-			}
-			if res.sync {
-				nsync++
 			}
 		case <-srv.quit:
 			return nil, nil, 0, errClosed
@@ -415,18 +396,12 @@ func (srv *Server) runTxn(txnID uint64, readKeys []string, writeKVs []wire.KV) (
 		}
 		srv.clock.WaitUntilAfter(wait)
 	}
-	// Durability wait, overlapped with commit wait above: the group
-	// commits covering the shards' records have been running since apply,
-	// so by now their flush outcomes have usually landed on syncCh. A
-	// false outcome means a crash ate the batch or a fence deposed this
-	// leader mid-wait — the response must never be sent (a dead process
-	// acknowledges nothing, and a deposed one may hold writes the new
-	// view lost); the plan is leaked rather than released because the
-	// remaining participants' outcomes may still be in flight.
-	for i := 0; i < nsync; i++ {
-		if !<-p.syncCh {
-			return nil, nil, 0, errClosed
-		}
+	// The exposure gate, overlapped with commit wait above: the flushes
+	// covering the participants' records have been running since apply, so
+	// they have usually finished by now.
+	if !p.join.wait(len(p.shards)) {
+		p.release(srv)
+		return nil, nil, 0, errClosed
 	}
 	total := time.Since(start)
 	m.commitWait.Observe(int64(total - applied))

@@ -7,13 +7,14 @@
 // append (PR 7) instead of adding a per-entry sync.
 //
 // A response is released to a client only after the record that justifies
-// it is durable (Log.WaitDurable), and that discipline extends to reads:
-// a read response waits for the durability of everything it observed, so
-// no client — and no follower replica, because entries are offered to
-// transports only after their batch's fsync — can ever witness state a
-// crash could take back. That is the invariant crash recovery leans on:
-// anything observed is durable, so replaying the log reconstructs a state
-// consistent with every response the old process released.
+// it is durable (the owning loop releases responses after a successful
+// Sync), and that discipline extends to reads: a read response waits for
+// the durability of everything it observed, so no client — and no follower
+// replica, because entries are offered to transports only after their
+// batch's fsync — can ever witness state a crash could take back. That is
+// the invariant crash recovery leans on: anything observed is durable, so
+// replaying the log reconstructs a state consistent with every response
+// the old process released.
 //
 // On-disk layout (one directory per shard):
 //
@@ -47,7 +48,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"rsskv/internal/wire"
@@ -118,8 +118,8 @@ const (
 	CrashAfterAppend
 	// CrashBeforeFsync crashes before a batch's bytes reach the file at
 	// all — the page cache was lost with the process. The batch's
-	// operations were never acknowledged (WaitDurable fails), so
-	// recovery legitimately never sees them.
+	// operations were never acknowledged (Sync fails), so recovery
+	// legitimately never sees them.
 	CrashBeforeFsync
 	// CrashMidCheckpoint crashes after checkpoint.tmp is written but
 	// before it is renamed into place or any segment is deleted:
@@ -139,19 +139,9 @@ const (
 // durability can be promised.
 var ErrCrashed = fmt.Errorf("wal: crashed")
 
-// ErrShutdown reports a WaitDurable cut short by a clean shutdown: the
-// shard loop flushed its final batch and exited, so a wait for any record
-// beyond the durable LSN can never be satisfied. Unlike ErrCrashed it is
-// selective — waits for already-durable records still succeed, so callers
-// racing the shutdown see their outcomes in LSN order: everything the
-// final flush covered acknowledges normally, everything past it fails.
-var ErrShutdown = fmt.Errorf("wal: shut down")
-
 // ErrFenced reports an append or sync refused because the log was fenced
 // out of its view: a newer epoch leads the shard group, so nothing this
-// process writes may ever be acknowledged again. Selective like
-// ErrShutdown — waits for records durable before the fence still succeed,
-// waits beyond it fail.
+// process writes may ever be acknowledged again.
 var ErrFenced = fmt.Errorf("wal: fenced")
 
 // Config parameterizes Open.
@@ -171,7 +161,7 @@ type Config struct {
 
 // Log is one shard's append-only write-ahead log with group commit.
 // Append, Sync, AppendedLSN, Rotate, and Close must be called from a
-// single goroutine (the shard apply loop); WaitDurable and the stats
+// single goroutine (the shard apply loop); Crash, Fence, and the stats
 // accessors are safe from any goroutine. LSNs are 1-based record
 // positions over the log's whole history, stable across restarts.
 type Log struct {
@@ -186,15 +176,10 @@ type Log struct {
 	appended uint64 // LSN of the last appended record (loop-only)
 	durable  atomic.Uint64
 	crashed  atomic.Bool
-	shutdown atomic.Bool
 	fenced   atomic.Bool
 	events   atomic.Int64 // qualifying crash events seen
 	fsyncs   atomic.Uint64
 	bytes    atomic.Uint64
-
-	mu      sync.Mutex
-	syncC   chan struct{} // closed and replaced on each durability advance
-	onCrash func()
 }
 
 // Open recovers the log directory and returns the live Log (appending
@@ -218,8 +203,6 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 		cfg:      cfg,
 		dir:      cfg.Dir,
 		appended: rec.LSN,
-		syncC:    make(chan struct{}),
-		onCrash:  cfg.OnCrash,
 	}
 	l.durable.Store(rec.LSN)
 	if err := l.openSegment(rec.LSN + 1); err != nil {
@@ -257,8 +240,8 @@ func (l *Log) openSegment(firstLSN uint64) error {
 
 // Append buffers one record and returns its LSN. The record is not
 // durable until the Sync that covers it; callers releasing a response on
-// its strength must WaitDurable the returned LSN. Returns 0 after a
-// crash. Loop-only.
+// its strength must wait for that Sync to succeed. Returns 0 after a
+// crash or fence. Loop-only.
 func (l *Log) Append(r Record) uint64 {
 	if l.crashed.Load() || l.fenced.Load() {
 		return 0
@@ -332,7 +315,7 @@ func (l *Log) Sync(watermark int64) (int, error) {
 	l.bytes.Add(uint64(len(buf)))
 	n := len(l.pending)
 	l.pending = l.pending[:0]
-	l.advance(l.durable.Load() + uint64(n))
+	l.durable.Add(uint64(n))
 	if l.cfg.CrashAt == CrashAfterPrepare && hasPrepare && l.trip() {
 		// The prepare is durable; the process dies before any later
 		// batch (the one carrying the commit or abort) can be appended.
@@ -340,15 +323,6 @@ func (l *Log) Sync(watermark int64) (int, error) {
 		return len(buf), ErrCrashed
 	}
 	return len(buf), nil
-}
-
-// advance publishes a new durable LSN and wakes WaitDurable parkers.
-func (l *Log) advance(lsn uint64) {
-	l.mu.Lock()
-	l.durable.Store(lsn)
-	close(l.syncC)
-	l.syncC = make(chan struct{})
-	l.mu.Unlock()
 }
 
 // trip counts one qualifying crash event and reports whether it is the
@@ -361,93 +335,34 @@ func (l *Log) trip() bool {
 	return l.events.Add(1) == after
 }
 
-// crash marks the log dead, wakes every waiter, and fires OnCrash once.
+// crash marks the log dead and fires OnCrash once.
 func (l *Log) crash() {
 	if l.crashed.Swap(true) {
 		return
 	}
-	l.mu.Lock()
-	close(l.syncC)
-	l.syncC = make(chan struct{})
-	hook := l.onCrash
-	l.onCrash = nil
-	l.mu.Unlock()
-	if hook != nil {
-		hook()
+	if l.cfg.OnCrash != nil {
+		l.cfg.OnCrash()
 	}
 }
 
 // Crash kills the log from outside (the server's kill -9 analogue):
-// everything synced so far stays durable, every outstanding and future
-// WaitDurable fails, and appends are dropped. Safe from any goroutine.
+// everything synced so far stays durable, every future Sync fails — so
+// nothing more is acknowledged — and appends are dropped. Safe from any
+// goroutine.
 func (l *Log) Crash() { l.crash() }
 
-// Shutdown marks the log as cleanly shut down and releases parked
-// WaitDurable callers: waiters at or below the durable LSN return nil (the
-// final flush covered them), everything above it returns ErrShutdown. The
-// shard loop calls it after its last flush, so no waiter can be stranded
-// between the loop exiting and the process ending. Safe from any
-// goroutine; durability itself is untouched.
-func (l *Log) Shutdown() {
-	if l.shutdown.Swap(true) {
-		return
-	}
-	l.mu.Lock()
-	close(l.syncC)
-	l.syncC = make(chan struct{})
-	l.mu.Unlock()
-}
-
 // Fence marks the log fenced out of its view: a newer epoch leads the
-// shard group. Pending (unfenced-synced) durability stands, but every
-// future Append is dropped, every future Sync fails with ErrFenced, and
-// WaitDurable parkers beyond the durable LSN wake with ErrFenced — a
-// deposed leader can neither extend its log nor acknowledge in-flight
-// writes the new view will never hold. Safe from any goroutine.
-func (l *Log) Fence() {
-	if l.fenced.Swap(true) {
-		return
-	}
-	l.mu.Lock()
-	close(l.syncC)
-	l.syncC = make(chan struct{})
-	l.mu.Unlock()
-}
+// shard group. Durability already synced stands, but every future Append
+// is dropped and every future Sync fails with ErrFenced — a deposed leader
+// can neither extend its log nor acknowledge in-flight writes the new view
+// will never hold. Safe from any goroutine.
+func (l *Log) Fence() { l.fenced.Store(true) }
 
 // Fenced reports whether the log has been fenced.
 func (l *Log) Fenced() bool { return l.fenced.Load() }
 
 // Crashed reports whether the log hit its crash point or was crashed.
 func (l *Log) Crashed() bool { return l.crashed.Load() }
-
-// WaitDurable blocks until the record at lsn is durable, returning
-// ErrCrashed if the log dies first. After a crash every wait fails, even
-// for already-durable records: the process is considered dead, and a dead
-// process acknowledges nothing — which keeps "acknowledged" a strict
-// subset of "durable" without a per-response race against the crash.
-func (l *Log) WaitDurable(lsn uint64) error {
-	for {
-		if l.crashed.Load() {
-			return ErrCrashed
-		}
-		if l.durable.Load() >= lsn {
-			return nil
-		}
-		if l.shutdown.Load() {
-			return ErrShutdown
-		}
-		if l.fenced.Load() {
-			return ErrFenced
-		}
-		l.mu.Lock()
-		ch := l.syncC
-		l.mu.Unlock()
-		if l.crashed.Load() || l.shutdown.Load() || l.fenced.Load() || l.durable.Load() >= lsn {
-			continue // re-check outcome above
-		}
-		<-ch
-	}
-}
 
 // Fsyncs returns how many fsyncs the log has paid (group commit makes
 // this at most one per apply batch).

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"rsskv/internal/wire"
 )
@@ -51,8 +50,8 @@ func TestAppendSyncRecover(t *testing.T) {
 	if lsn != 3 {
 		t.Fatalf("lsn = %d, want 3", lsn)
 	}
-	if err := l.WaitDurable(3); err != nil {
-		t.Fatalf("WaitDurable: %v", err)
+	if got := l.DurableLSN(); got != 3 {
+		t.Fatalf("DurableLSN = %d, want 3", got)
 	}
 	if got := l.Fsyncs(); got != 2 {
 		t.Fatalf("fsyncs = %d, want 2 (one per batch)", got)
@@ -177,20 +176,17 @@ func TestCrashBeforeFsyncLosesBatch(t *testing.T) {
 	l, _ := mustOpen(t, Config{Dir: dir, CrashAt: CrashBeforeFsync, CrashAfter: 2,
 		OnCrash: func() { onCrash++ }})
 	appendBatch(t, l, 5, commitRec(1, 3, kv("a", "1")))
-	lsn := l.Append(commitRec(2, 6, kv("a", "2")))
+	l.Append(commitRec(2, 6, kv("a", "2")))
 	if _, err := l.Sync(7); err != ErrCrashed {
 		t.Fatalf("Sync at crash point: err = %v, want ErrCrashed", err)
 	}
 	if onCrash != 1 {
 		t.Fatalf("OnCrash ran %d times, want 1", onCrash)
 	}
-	// The dead process acknowledges nothing: waits fail even for the
-	// durable first batch.
-	if err := l.WaitDurable(lsn); err != ErrCrashed {
-		t.Fatalf("WaitDurable after crash: %v, want ErrCrashed", err)
-	}
-	if err := l.WaitDurable(1); err != ErrCrashed {
-		t.Fatalf("WaitDurable(durable lsn) after crash: %v, want ErrCrashed", err)
+	// The dead process acknowledges nothing: every later Sync fails, even
+	// an empty one that would only vouch for the durable first batch.
+	if _, err := l.Sync(8); err != ErrCrashed {
+		t.Fatalf("Sync after crash: %v, want ErrCrashed", err)
 	}
 	if l.Append(commitRec(3, 9)) != 0 {
 		t.Fatal("Append after crash must return 0")
@@ -362,85 +358,6 @@ func TestSegmentGapIsAnError(t *testing.T) {
 	}
 	if _, _, err := Open(Config{Dir: dir}); err == nil {
 		t.Fatal("Open accepted a log with a missing segment")
-	}
-}
-
-func TestWaitDurableBlocksUntilSync(t *testing.T) {
-	l, _ := mustOpen(t, Config{Dir: t.TempDir()})
-	defer l.Close()
-	lsn := l.Append(commitRec(1, 3, kv("a", "1")))
-	done := make(chan error, 1)
-	go func() { done <- l.WaitDurable(lsn) }()
-	select {
-	case err := <-done:
-		t.Fatalf("WaitDurable returned %v before Sync", err)
-	default:
-	}
-	if _, err := l.Sync(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("WaitDurable after Sync: %v", err)
-	}
-}
-
-// TestShutdownReleasesWaitersSelectively pins the graceful-shutdown
-// contract: Shutdown releases every parked WaitDurable caller with the
-// outcome the LSN order dictates — waits at or below the durable LSN
-// (covered by the final flush) succeed, waits past it fail with
-// ErrShutdown — and no waiter is left parked. Crash semantics stay
-// distinct: this is selective, Crash fails everything.
-func TestShutdownReleasesWaitersSelectively(t *testing.T) {
-	l, _ := mustOpen(t, Config{Dir: t.TempDir()})
-	appendBatch(t, l, 0, commitRec(1, 5, kv("a", "1")), commitRec(2, 6, kv("b", "2")))
-	// Two appended-but-unsynced records: waits on them can never be
-	// satisfied once the syncer is gone.
-	l.Append(commitRec(3, 7, kv("c", "3")))
-	l.Append(commitRec(4, 8, kv("d", "4")))
-
-	const top = 4
-	errs := make([]error, top+1)
-	done := make([]chan struct{}, top+1)
-	for lsn := 1; lsn <= top; lsn++ {
-		lsn := lsn
-		done[lsn] = make(chan struct{})
-		go func() {
-			errs[lsn] = l.WaitDurable(uint64(lsn))
-			close(done[lsn])
-		}()
-	}
-	time.Sleep(50 * time.Millisecond) // let the uncovered waits park
-	l.Shutdown()
-	l.Shutdown() // idempotent
-
-	for lsn := 1; lsn <= top; lsn++ {
-		select {
-		case <-done[lsn]:
-		case <-time.After(2 * time.Second):
-			t.Fatalf("WaitDurable(%d) still parked after Shutdown", lsn)
-		}
-	}
-	for lsn := 1; lsn <= 2; lsn++ {
-		if errs[lsn] != nil {
-			t.Errorf("WaitDurable(%d) was covered by the last sync, got %v, want nil", lsn, errs[lsn])
-		}
-	}
-	for lsn := 3; lsn <= top; lsn++ {
-		if errs[lsn] != ErrShutdown {
-			t.Errorf("WaitDurable(%d) past the durable LSN, got %v, want ErrShutdown", lsn, errs[lsn])
-		}
-	}
-
-	// Waits arriving after the shutdown resolve instantly with the same
-	// selectivity.
-	if err := l.WaitDurable(2); err != nil {
-		t.Errorf("post-shutdown WaitDurable(2): %v, want nil", err)
-	}
-	if err := l.WaitDurable(4); err != ErrShutdown {
-		t.Errorf("post-shutdown WaitDurable(4): %v, want ErrShutdown", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }
 
