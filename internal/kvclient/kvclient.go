@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,7 +181,9 @@ func (c *Client) adopt(addr string, epoch uint64) bool {
 		return false
 	}
 	old := c.pool.Swap(pool)
-	c.addr = addr
+	// addr is a view into the response that named it (see package wire);
+	// the client keeps it for good, so it keeps a copy.
+	c.addr = strings.Clone(addr)
 	old.Close() // in-flight calls on it fail and surface to their callers
 	return true
 }
@@ -354,6 +357,10 @@ func (c *Client) ReadOnly(keys ...string) (map[string]string, int64, error) {
 // Snapshot is ReadOnly with the full result, including whether the read
 // was served from follower replicas (a replicated server's t_safe path)
 // rather than the shard leaders.
+//
+// The returned keys and values share one allocation per response (they
+// are views into the decoded frame, see package wire): holding on to any
+// of them keeps all of them. strings.Clone what you keep long-term.
 func (c *Client) Snapshot(keys ...string) (ROResult, error) {
 	resp, err := c.do(&wire.Request{Op: wire.OpROTxn, Keys: keys, TMin: c.TMin()})
 	if err != nil {
@@ -559,6 +566,10 @@ func (t *Txn) Write(key, value string) *Txn {
 // and every write-set key written at one commit timestamp, with strict
 // two-phase locking server-side. It retries wounds under the same ID and
 // returns the read values and the commit timestamp.
+//
+// The returned keys and values share one allocation per response (they
+// are views into the decoded frame, see package wire): holding on to any
+// of them keeps all of them. strings.Clone what you keep long-term.
 func (t *Txn) Commit() (reads map[string]string, version int64, err error) {
 	resp, err := t.c.retry(&wire.Request{
 		Op: wire.OpCommit, TxnID: t.id, Keys: t.reads, KVs: t.kvs,

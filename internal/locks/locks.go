@@ -12,6 +12,7 @@ package locks
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -66,13 +67,34 @@ type lockState struct {
 	queue   []Request
 }
 
+// dequeue removes queue[i] in place: the backing array is kept for the
+// state's next life and the vacated slot is zeroed, so an idle array never
+// pins a request's key.
+func (ls *lockState) dequeue(i int) {
+	last := len(ls.queue) - 1
+	copy(ls.queue[i:], ls.queue[i+1:])
+	ls.queue[last] = Request{}
+	ls.queue = ls.queue[:last]
+}
+
 // Manager is a lock table for one shard. It is single-threaded (driven by
-// the shard's event handler).
+// the shard's event handler), which is why its free lists need no locking.
 type Manager struct {
-	locks    map[string]*lockState
-	held     map[TxnID][]string // keys each txn holds (for release)
+	locks map[string]*lockState
+	held  map[TxnID][]string // keys each txn holds (for release)
+	// queued are the keys each txn has a request queued on, so ReleaseAll
+	// visits those instead of the whole table. An entry can be stale (the
+	// request was granted or dropped since); release re-checks the queue.
+	queued   map[TxnID][]string
 	prepared map[TxnID]bool
 	wounded  map[TxnID]bool
+
+	// A steady-state acquire/release cycle allocates nothing: lock states
+	// and the per-transaction key slices of held and queued are recycled
+	// here, and ReleaseAll collects the keys it touched in a scratch slice.
+	freeStates []*lockState
+	freeKeys   [][]string
+	touched    []string
 
 	// OnGrant is invoked from Flush when a previously Waiting request
 	// acquires its lock. It may issue further Acquire/Release calls.
@@ -82,8 +104,12 @@ type Manager struct {
 	// held until ReleaseAll; the owner must abort it and release.
 	OnWound func(TxnID)
 
+	// Flush consumes both queues from their heads (nextGrant, nextWound)
+	// while callbacks append to their tails, and rewinds them once drained.
 	pendingGrants []Request
 	pendingWounds []TxnID
+	nextGrant     int
+	nextWound     int
 	flushing      bool
 
 	// wounds counts wound-wait victims cumulatively. It is the one
@@ -97,6 +123,7 @@ func NewManager() *Manager {
 	return &Manager{
 		locks:    make(map[string]*lockState),
 		held:     make(map[TxnID][]string),
+		queued:   make(map[TxnID][]string),
 		prepared: make(map[TxnID]bool),
 		wounded:  make(map[TxnID]bool),
 	}
@@ -145,7 +172,11 @@ func (m *Manager) SetPrepared(txn TxnID) { m.prepared[txn] = true }
 func (m *Manager) Acquire(req Request) Outcome {
 	ls := m.locks[req.Key]
 	if ls == nil {
-		ls = &lockState{}
+		if n := len(m.freeStates); n > 0 {
+			ls, m.freeStates = m.freeStates[n-1], m.freeStates[:n-1]
+		} else {
+			ls = &lockState{}
+		}
 		m.locks[req.Key] = ls
 	}
 	// Re-entrant and upgrade handling.
@@ -195,13 +226,41 @@ func (m *Manager) compatible(ls *lockState, req Request) bool {
 
 func (m *Manager) grant(ls *lockState, req Request) {
 	ls.holders = append(ls.holders, holder{txn: req.Txn, mode: req.Mode, prio: req.Prio})
-	m.held[req.Txn] = append(m.held[req.Txn], req.Key)
+	m.note(m.held, req.Txn, req.Key)
+}
+
+// note records key under txn in idx (held or queued), starting a
+// transaction's slice from a recycled one.
+func (m *Manager) note(idx map[TxnID][]string, txn TxnID, key string) {
+	ks, ok := idx[txn]
+	if n := len(m.freeKeys); !ok && n > 0 {
+		ks, m.freeKeys = m.freeKeys[n-1], m.freeKeys[:n-1]
+	}
+	idx[txn] = append(ks, key)
+}
+
+// take removes and returns txn's keys from idx. The caller hands the slice
+// back through recycle when it is done reading it.
+func (m *Manager) take(idx map[TxnID][]string, txn TxnID) []string {
+	ks := idx[txn]
+	delete(idx, txn)
+	return ks
+}
+
+func (m *Manager) recycle(ks []string) {
+	if cap(ks) == 0 {
+		return
+	}
+	// Safe to reuse: take removed the slice from its index, the only place
+	// that referred to it (HeldKeys hands out copies). Cleared so the idle
+	// slice pins no key.
+	clear(ks)
+	m.freeKeys = append(m.freeKeys, ks[:0])
 }
 
 // conflict applies wound-wait: wound all younger, unprepared conflicting
 // holders and queue the request.
 func (m *Manager) conflict(ls *lockState, req Request) Outcome {
-	var toWound []TxnID
 	for _, h := range ls.holders {
 		if h.txn == req.Txn {
 			continue // upgrade in progress; other holders conflict
@@ -211,15 +270,12 @@ func (m *Manager) conflict(ls *lockState, req Request) Outcome {
 			continue
 		}
 		if h.prio > req.Prio && !m.prepared[h.txn] && !m.wounded[h.txn] {
-			toWound = append(toWound, h.txn)
+			m.wounded[h.txn] = true
+			m.pendingWounds = append(m.pendingWounds, h.txn)
+			m.wounds.Add(1)
 		}
 	}
 	m.enqueue(ls, req)
-	for _, t := range toWound {
-		m.wounded[t] = true
-		m.pendingWounds = append(m.pendingWounds, t)
-		m.wounds.Add(1)
-	}
 	// Enqueueing by priority can change the head of the queue: a shared
 	// request that compatible() refused because an exclusive was queued
 	// may itself land AHEAD of that exclusive, leaving an admissible head
@@ -241,18 +297,18 @@ func (m *Manager) Flush() {
 		return // the outer Flush drains everything
 	}
 	m.flushing = true
-	defer func() { m.flushing = false }()
-	for len(m.pendingWounds) > 0 || len(m.pendingGrants) > 0 {
-		if len(m.pendingWounds) > 0 {
-			t := m.pendingWounds[0]
-			m.pendingWounds = m.pendingWounds[1:]
+	for m.nextWound < len(m.pendingWounds) || m.nextGrant < len(m.pendingGrants) {
+		if m.nextWound < len(m.pendingWounds) {
+			t := m.pendingWounds[m.nextWound]
+			m.nextWound++
 			if m.OnWound != nil {
 				m.OnWound(t)
 			}
 			continue
 		}
-		g := m.pendingGrants[0]
-		m.pendingGrants = m.pendingGrants[1:]
+		g := m.pendingGrants[m.nextGrant]
+		m.pendingGrants[m.nextGrant] = Request{} // delivered: don't pin its key
+		m.nextGrant++
 		if m.wounded[g.Txn] {
 			continue // wounded after being granted; owner will release
 		}
@@ -260,6 +316,9 @@ func (m *Manager) Flush() {
 			m.OnGrant(g)
 		}
 	}
+	m.pendingWounds, m.nextWound = m.pendingWounds[:0], 0
+	m.pendingGrants, m.nextGrant = m.pendingGrants[:0], 0
+	m.flushing = false
 }
 
 // enqueue inserts req into the wait queue ordered by priority (older
@@ -269,17 +328,17 @@ func (m *Manager) enqueue(ls *lockState, req Request) {
 	ls.queue = append(ls.queue, Request{})
 	copy(ls.queue[i+1:], ls.queue[i:])
 	ls.queue[i] = req
+	m.note(m.queued, req.Txn, req.Key)
 }
 
 // ReleaseAll releases every lock txn holds, removes its queued requests,
 // and grants any newly admissible waiters (via OnGrant).
 func (m *Manager) ReleaseAll(txn TxnID) {
-	keys := m.held[txn]
-	delete(m.held, txn)
+	held, queued := m.take(m.held, txn), m.take(m.queued, txn)
 	delete(m.prepared, txn)
 	delete(m.wounded, txn)
-	touched := map[string]bool{}
-	for _, k := range keys {
+	touched := m.touched[:0]
+	for _, k := range held {
 		ls := m.locks[k]
 		for i := 0; i < len(ls.holders); {
 			if ls.holders[i].txn == txn {
@@ -288,33 +347,34 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 				i++
 			}
 		}
-		touched[k] = true
+		touched = append(touched, k)
 	}
-	// Drop queued requests from txn everywhere (aborted while waiting).
-	for k, ls := range m.locks {
+	// Drop txn's still-queued requests (aborted while waiting).
+	for _, k := range queued {
+		ls := m.locks[k]
+		if ls == nil {
+			continue // granted and released since
+		}
 		for i := 0; i < len(ls.queue); {
 			if ls.queue[i].Txn == txn {
-				ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-				touched[k] = true
+				ls.dequeue(i)
 			} else {
 				i++
 			}
 		}
+		touched = append(touched, k)
 	}
-	m.promoteAll(touched)
-}
-
-// promoteAll grants admissible queued requests on the touched keys.
-// Iteration order is sorted for determinism.
-func (m *Manager) promoteAll(touched map[string]bool) {
-	keys := make([]string, 0, len(touched))
-	for k := range touched {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	// Promote in sorted key order, for determinism. A key both held and
+	// queued on (an upgrade) appears twice; the second promote finds
+	// nothing left to do.
+	slices.Sort(touched)
+	for _, k := range touched {
 		m.promote(k)
 	}
+	clear(touched)
+	m.touched = touched[:0]
+	m.recycle(held)
+	m.recycle(queued)
 }
 
 func (m *Manager) promote(key string) {
@@ -325,7 +385,7 @@ func (m *Manager) promote(key string) {
 	for len(ls.queue) > 0 {
 		req := ls.queue[0]
 		if m.wounded[req.Txn] {
-			ls.queue = ls.queue[1:]
+			ls.dequeue(0)
 			continue
 		}
 		admissible := false
@@ -341,19 +401,23 @@ func (m *Manager) promote(key string) {
 		} else if len(ls.holders) == 1 && ls.holders[0].txn == req.Txn {
 			// Upgrade completes once other holders drained.
 			ls.holders[0].mode = Exclusive
-			ls.queue = ls.queue[1:]
+			ls.dequeue(0)
 			m.pendingGrants = append(m.pendingGrants, req)
 			continue
 		}
 		if !admissible {
 			return
 		}
-		ls.queue = ls.queue[1:]
+		ls.dequeue(0)
 		m.grant(ls, req)
 		m.pendingGrants = append(m.pendingGrants, req)
 	}
 	if len(ls.holders) == 0 && len(ls.queue) == 0 {
+		// Safe to reuse: the table was the only reference to ls, and an
+		// empty state has no holder or queued request pointing back at it.
+		// dequeue zeroed every queue slot it vacated.
 		delete(m.locks, key)
+		m.freeStates = append(m.freeStates, ls)
 	}
 }
 

@@ -6,6 +6,7 @@ package mvstore
 
 import (
 	"sort"
+	"strings"
 
 	"rsskv/internal/truetime"
 )
@@ -18,21 +19,45 @@ type Version struct {
 
 // Store maps keys to their version chains. The zero value is not usable;
 // call New.
+//
+// The store owns its keys: Write is handed strings that are views into a
+// decoded frame (see package wire), and a key the store kept as given would
+// keep that whole frame alive. A map assignment re-points even an existing
+// string key at the string it was assigned through, so owning the keys
+// takes more than cloning on insert: the map is written once per key, with
+// a clone, and holds only the chain's position; every later write goes
+// through chains and never touches the map's keys again.
 type Store struct {
-	versions map[string][]Version
+	index  map[string]int // key (the store's own copy) -> position in chains
+	chains [][]Version
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{versions: make(map[string][]Version)}
+	return &Store{index: make(map[string]int)}
+}
+
+// chain returns key's versions (nil if unwritten).
+func (s *Store) chain(key string) []Version {
+	if i, ok := s.index[key]; ok {
+		return s.chains[i]
+	}
+	return nil
 }
 
 // Write installs value as the version of key at ts. Commit timestamps of
 // writes to one key are unique (strict two-phase locking orders conflicting
 // transactions), but arrival order may differ from timestamp order when a
 // skipped transaction commits late, so Write inserts in timestamp order.
+// The store keeps value as given and a copy of key.
 func (s *Store) Write(key, value string, ts truetime.Timestamp) {
-	vs := s.versions[key]
+	c, ok := s.index[key]
+	if !ok {
+		c = len(s.chains)
+		s.chains = append(s.chains, nil)
+		s.index[strings.Clone(key)] = c
+	}
+	vs := s.chains[c]
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS >= ts })
 	if i < len(vs) && vs[i].TS == ts {
 		vs[i].Value = value // idempotent re-apply
@@ -41,14 +66,14 @@ func (s *Store) Write(key, value string, ts truetime.Timestamp) {
 	vs = append(vs, Version{})
 	copy(vs[i+1:], vs[i:])
 	vs[i] = Version{TS: ts, Value: value}
-	s.versions[key] = vs
+	s.chains[c] = vs
 }
 
 // ReadAt returns the latest version of key with TS ≤ ts. The zero Version
 // (TS 0, empty value) is returned for keys never written at or before ts —
 // the paper's null.
 func (s *Store) ReadAt(key string, ts truetime.Timestamp) Version {
-	vs := s.versions[key]
+	vs := s.chain(key)
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > ts })
 	if i == 0 {
 		return Version{}
@@ -58,7 +83,7 @@ func (s *Store) ReadAt(key string, ts truetime.Timestamp) Version {
 
 // Latest returns the newest version of key (zero Version if unwritten).
 func (s *Store) Latest(key string) Version {
-	vs := s.versions[key]
+	vs := s.chain(key)
 	if len(vs) == 0 {
 		return Version{}
 	}
@@ -75,7 +100,7 @@ func (s *Store) MaxTS(key string) truetime.Timestamp { return s.Latest(key).TS }
 // restored.
 func (s *Store) MaxTSAll() truetime.Timestamp {
 	var max truetime.Timestamp
-	for _, vs := range s.versions {
+	for _, vs := range s.chains {
 		if n := len(vs); n > 0 && vs[n-1].TS > max {
 			max = vs[n-1].TS
 		}
@@ -84,7 +109,7 @@ func (s *Store) MaxTSAll() truetime.Timestamp {
 }
 
 // Versions returns the number of versions of key (testing).
-func (s *Store) Versions(key string) int { return len(s.versions[key]) }
+func (s *Store) Versions(key string) int { return len(s.chain(key)) }
 
 // Dump visits every version of every key in timestamp order per key (key
 // order unspecified) — the full-state walk behind replication catch-up
@@ -93,8 +118,8 @@ func (s *Store) Versions(key string) int { return len(s.versions[key]) }
 // point re-derives everything later. The store must not be mutated during
 // the walk (callers run it on the owning loop).
 func (s *Store) Dump(fn func(key string, v Version)) {
-	for k, vs := range s.versions {
-		for _, v := range vs {
+	for k, c := range s.index {
+		for _, v := range s.chains[c] {
 			fn(k, v)
 		}
 	}
@@ -104,12 +129,12 @@ func (s *Store) Dump(fn func(key string, v Version)) {
 // bounding memory in long experiments while preserving reads at or above
 // floor.
 func (s *Store) GC(floor truetime.Timestamp) {
-	for k, vs := range s.versions {
+	for c, vs := range s.chains {
 		i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > floor })
 		if i > 1 {
 			kept := make([]Version, len(vs)-i+1)
 			copy(kept, vs[i-1:])
-			s.versions[k] = kept
+			s.chains[c] = kept
 		}
 	}
 }

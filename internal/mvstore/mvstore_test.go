@@ -1,7 +1,10 @@
 package mvstore
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -212,4 +215,49 @@ func TestDumpReproducesStore(t *testing.T) {
 			t.Errorf("copy.ReadAt(%s,%d) = %q, want %q", c.key, c.ts, got.Value, c.want)
 		}
 	}
+}
+
+// TestRetentionWriteOwnsKey: the keys Write is handed are views into a
+// decoded frame (package wire), and the store must not keep the frame alive
+// through them — neither when it inserts a key nor when it writes a key it
+// already has. The second case is the subtle one: assigning to a Go map
+// through an equal string key re-points the stored key at the new string,
+// so a store that wrote its map on every Write would pin the frame of the
+// most recent write to every key.
+func TestRetentionWriteOwnsKey(t *testing.T) {
+	const (
+		keys  = 64
+		frame = 256 << 10 // what each key is a view into
+	)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	view := func(i int) string {
+		big := strings.Repeat("x", frame) + fmt.Sprintf("key%08d", i)
+		return big[frame:]
+	}
+	s := New()
+	before := liveHeap()
+	for i := 0; i < keys; i++ {
+		s.Write(view(i), "v1", 1) // inserts
+	}
+	if grew := int64(liveHeap() - before); grew > 1<<20 {
+		t.Errorf("inserting %d keys that are views into %d KiB frames grew the live heap by %d KiB: the store kept the frames",
+			keys, frame>>10, grew>>10)
+	}
+	for i := 0; i < keys; i++ {
+		s.Write(view(i), "v2", 2) // existing keys
+	}
+	if grew := int64(liveHeap() - before); grew > 1<<20 {
+		t.Errorf("rewriting %d existing keys through views into %d KiB frames grew the live heap by %d KiB: the store re-pointed its keys at the frames",
+			keys, frame>>10, grew>>10)
+	}
+	if got := s.Latest(fmt.Sprintf("key%08d", keys-1)); got.Value != "v2" || got.TS != 2 {
+		t.Errorf("Latest = %+v after both writes", got)
+	}
+	runtime.KeepAlive(s)
 }

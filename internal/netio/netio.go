@@ -45,7 +45,6 @@ type ConnWriter struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []*wire.Response
-	free   []*wire.Response // drained batch recycled as the next queue
 	closed bool
 	nc     net.Conn
 	done   chan struct{} // closed when the flusher returns
@@ -75,9 +74,6 @@ func (cw *ConnWriter) Send(resp *wire.Response) {
 	if cw.closed {
 		cw.mu.Unlock()
 		return
-	}
-	if cw.queue == nil && cw.free != nil {
-		cw.queue, cw.free = cw.free, nil
 	}
 	cw.queue = append(cw.queue, resp)
 	cw.cond.Signal()
@@ -123,13 +119,17 @@ func (cw *ConnWriter) flusher() {
 	// response (WriteResponse builds a fresh frame each call). It grows to
 	// the largest response seen and stays there.
 	var scratch []byte
+	// spare is the previous batch, emptied: it becomes the queue while this
+	// batch is on its way out, so a steady request rate alternates between
+	// two backing arrays instead of growing a fresh one per drain.
+	var spare []*wire.Response
 	for {
 		cw.mu.Lock()
 		for len(cw.queue) == 0 && !cw.closed {
 			cw.cond.Wait()
 		}
 		batch := cw.queue
-		cw.queue = nil
+		cw.queue = spare
 		closed := cw.closed
 		cw.mu.Unlock()
 		if h := cw.batchHist.Load(); h != nil && len(batch) > 0 {
@@ -137,7 +137,7 @@ func (cw *ConnWriter) flusher() {
 		}
 		cw.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		for _, resp := range batch {
-			scratch = wire.AppendResponse(scratch[:0], resp)
+			scratch = wire.AppendResponse(wire.BeginFrame(scratch), resp)
 			err := wire.WriteFrame(bw, scratch)
 			if cap(scratch) > maxEncodeScratch {
 				scratch = nil // outsized one-off (e.g. a snapshot): don't pin it
@@ -154,16 +154,8 @@ func (cw *ConnWriter) flusher() {
 		if closed && len(batch) == 0 {
 			return
 		}
-		// Recycle the drained batch as the next queue so a steady
-		// request rate stops allocating queue backing arrays.
-		for i := range batch {
-			batch[i] = nil
-		}
-		cw.mu.Lock()
-		if cw.free == nil || cap(batch) > cap(cw.free) {
-			cw.free = batch[:0]
-		}
-		cw.mu.Unlock()
+		clear(batch) // the responses are on the wire: don't pin them
+		spare = batch[:0]
 	}
 }
 
@@ -179,9 +171,13 @@ type Conn struct {
 	cond    *sync.Cond
 	out     []*wire.Request
 	pending map[uint64]chan *wire.Response
-	nextID  uint64
-	err     error
-	closed  bool
+	// slots are idle one-slot response channels. A call costs its Request
+	// and nothing else: the channel it waits on comes from here and goes
+	// back when the response has been received.
+	slots  []chan *wire.Response
+	nextID uint64
+	err    error
+	closed bool
 }
 
 // NewConn starts the writer and reader goroutines for nc. Frames over
@@ -208,19 +204,27 @@ func (cn *Conn) Call(req *wire.Request) (*wire.Response, error) {
 	}
 	cn.nextID++
 	req.ID = cn.nextID
-	ch := make(chan *wire.Response, 1)
+	var ch chan *wire.Response
+	if n := len(cn.slots); n > 0 {
+		ch, cn.slots = cn.slots[n-1], cn.slots[:n-1]
+	} else {
+		ch = make(chan *wire.Response, 1)
+	}
 	cn.pending[req.ID] = ch
 	cn.out = append(cn.out, req)
 	cn.cond.Signal()
 	cn.mu.Unlock()
 
 	resp, ok := <-ch
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
 	if !ok {
-		cn.mu.Lock()
-		err := cn.err
-		cn.mu.Unlock()
-		return nil, err
+		return nil, cn.err // Fail closed ch: it must never be reused
 	}
+	// Safe to recycle: deliver took ch out of pending before its one send,
+	// that send has just been received, and Fail only closes channels still
+	// in pending — nobody else can reach ch any more.
+	cn.slots = append(cn.slots, ch)
 	return resp, nil
 }
 
@@ -260,6 +264,7 @@ func (cn *Conn) Fail(err error) {
 func (cn *Conn) writer() {
 	bw := bufio.NewWriterSize(cn.nc, 64<<10)
 	var scratch []byte
+	var spare []*wire.Request // the previous batch, emptied (see ConnWriter.flusher)
 	for {
 		cn.mu.Lock()
 		for len(cn.out) == 0 && !cn.closed {
@@ -270,18 +275,18 @@ func (cn *Conn) writer() {
 			return
 		}
 		batch := cn.out
-		cn.out = nil
+		cn.out = spare
 		cn.mu.Unlock()
 		for _, req := range batch {
 			// Encode before writing so a single oversized request can
 			// fail on its own instead of poisoning the pipelined
 			// connection (the server would drop the whole connection on
 			// an over-limit frame without a response).
-			scratch = wire.AppendRequest(scratch[:0], req)
-			if len(scratch) > cn.maxFrame {
+			scratch = wire.AppendRequest(wire.BeginFrame(scratch), req)
+			if n := len(scratch) - wire.FrameHeaderLen; n > cn.maxFrame {
 				cn.deliver(&wire.Response{
 					ID: req.ID, Op: req.Op,
-					Err: fmt.Sprintf("request frame %d bytes exceeds limit %d", len(scratch), cn.maxFrame),
+					Err: fmt.Sprintf("request frame %d bytes exceeds limit %d", n, cn.maxFrame),
 				})
 				continue
 			}
@@ -294,6 +299,8 @@ func (cn *Conn) writer() {
 			cn.Fail(err)
 			return
 		}
+		clear(batch) // sent: the requests are their callers' again, don't pin them
+		spare = batch[:0]
 	}
 }
 

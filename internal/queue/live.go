@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -356,7 +357,7 @@ func (s *Server) enqueue(req *wire.Request, cw *netio.ConnWriter) {
 	q := s.queues[req.Key]
 	if q == nil {
 		q = &fifo{}
-		s.queues[req.Key] = q
+		s.queues[strings.Clone(req.Key)] = q // the queue outlives the request's frame
 	}
 	q.nextSeq++
 	seq := q.nextSeq

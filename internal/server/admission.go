@@ -33,9 +33,10 @@ import (
 //   - stall thresholds on the live overload signals: when the shard's
 //     apply-queue depth (the apply.queue_depth signal) crosses
 //     admitStallDepth, or the WAL group-commit fsync duration (the
-//     wal.fsync signal, tracked as an EWMA by flush) crosses
-//     admitStallFsync, the gate stops granting even with tokens in hand —
-//     tokens model average capacity, the stall signals model "right now";
+//     wal.fsync signal, tracked as an EWMA by flush and aged by the time
+//     since its last sample) crosses admitStallFsync, the gate stops
+//     granting even with tokens in hand — tokens model average capacity,
+//     the stall signals model "right now";
 //   - a bounded FIFO delay queue (Config.AdmitQueue) with a deadline
 //     (Config.AdmitDeadline): an arrival that cannot be granted parks and
 //     is woken in order as tokens return or the stall clears; the queue
@@ -99,6 +100,7 @@ type admitGate struct {
 	burst float64 // bucket capacity
 
 	fsyncEWMA atomic.Int64 // smoothed group-commit fsync duration, ns
+	fsyncAt   atomic.Int64 // when its last sample was folded in, unix ns
 
 	mu     sync.Mutex
 	tokens float64
@@ -131,7 +133,22 @@ func (g *admitGate) stalled() bool {
 	if len(g.s.ch) >= admitStallDepth {
 		return true
 	}
-	return time.Duration(g.fsyncEWMA.Load()) >= admitStallFsync
+	return g.fsyncPressure(time.Now()) >= admitStallFsync
+}
+
+// fsyncPressure is the fsync EWMA aged by silence: it halves for every
+// admitStallFsync that has passed since its last sample. The EWMA itself
+// only moves when the shard syncs a write, so a gate that believed it
+// forever would latch shut: one slow fsync parks every writer, no write
+// reaches the shard, and nothing is left to bring the average down. An old
+// sample says little about now; letting it fade reopens the gate, and the
+// next fsync says whether the disk is still slow.
+func (g *admitGate) fsyncPressure(now time.Time) time.Duration {
+	halvings := (now.UnixNano() - g.fsyncAt.Load()) / int64(admitStallFsync)
+	if halvings < 0 {
+		halvings = 0 // a sample stamped after now was read
+	}
+	return time.Duration(g.fsyncEWMA.Load() >> halvings)
 }
 
 // refill tops the bucket up for the time elapsed since the last refill.
@@ -178,8 +195,10 @@ func (g *admitGate) refund() {
 // noteFsync folds one group-commit fsync duration into the pressure EWMA.
 // Called by flush on the shard loop; lock-free.
 func (g *admitGate) noteFsync(d time.Duration) {
-	old := g.fsyncEWMA.Load()
+	now := time.Now()
+	old := int64(g.fsyncPressure(now))
 	g.fsyncEWMA.Store(old + (int64(d)-old)/admitFsyncAlpha)
+	g.fsyncAt.Store(now.UnixNano())
 }
 
 // retryAfter estimates when the gate expects capacity for one more
@@ -256,13 +275,28 @@ func (g *admitGate) admit() (ok bool, retryUS int64) {
 	g.mu.Unlock()
 	srv.stats.AdmitDelayed.Add(1)
 
-	timer := time.NewTimer(srv.cfg.AdmitDeadline)
-	select {
-	case <-w.ch:
-		timer.Stop()
-		srv.metrics.admitWait.ObserveSince(now)
-		return true, 0
-	case <-timer.C:
+	deadline := time.NewTimer(srv.cfg.AdmitDeadline)
+	defer deadline.Stop()
+	// Completions and arrivals are what normally run wake, but a stall
+	// signal fades with time alone (fsyncPressure), and then there may be
+	// neither: every writer is parked right here. So a parked arrival also
+	// looks for itself, once per halving of the signal.
+	recheck := time.NewTicker(admitStallFsync)
+	defer recheck.Stop()
+parked:
+	for {
+		select {
+		case <-w.ch:
+			srv.metrics.admitWait.ObserveSince(now)
+			return true, 0
+		case <-recheck.C:
+			g.mu.Lock()
+			g.refill(time.Now())
+			g.wake()
+			g.mu.Unlock()
+		case <-deadline.C:
+			break parked
+		}
 	}
 	// Deadline expired; a grant may have raced the timer. The granted
 	// flag is settled under mu: either wake closed the channel first (the

@@ -180,3 +180,45 @@ func checkFootprint(t *testing.T, where string, keys map[string]bool, admitted, 
 		}
 	}
 }
+
+// TestAdmissionStallSignalAges: the gate must not latch shut. One slow
+// fsync lifts the EWMA past admitStallFsync; with every writer then parked
+// on the gate no write reaches the shard, so no further sample can ever
+// bring the average down — the signal has to fade with time alone, and a
+// parked arrival has to notice without any completion or other arrival to
+// wake it. (Before the fix stalled() stayed true forever and the parked
+// admit ran into its deadline.)
+func TestAdmissionStallSignalAges(t *testing.T) {
+	srv, _ := newTestServer(t, Config{
+		Shards:        1,
+		AdmitQPS:      1000,
+		AdmitQueue:    8,
+		AdmitDeadline: 5 * time.Second,
+	})
+	g := srv.shards[0].gate
+	g.noteFsync(200 * time.Millisecond)
+	if !g.stalled() {
+		t.Fatal("a 200ms fsync did not stall the gate: the test proves nothing")
+	}
+	granted := make(chan bool, 1)
+	go func() {
+		ok, _ := g.admit() // tokens are there; only the stall parks it
+		granted <- ok
+	}()
+	// Nothing else is issued: no write, no fsync sample, no other arrival.
+	start := time.Now()
+	select {
+	case ok := <-granted:
+		if !ok {
+			t.Fatal("the parked arrival was rejected instead of granted once the stall faded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("gate latched shut: a parked arrival was still waiting 2s after one slow fsync")
+	}
+	if g.stalled() {
+		t.Errorf("stall signal still set %v after its only sample", time.Since(start))
+	}
+	if got := srv.stats.AdmitDelayed.Load(); got != 1 {
+		t.Errorf("AdmitDelayed = %d, want 1: the arrival was meant to park on the stall", got)
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"rsskv/internal/mvstore"
@@ -45,6 +46,8 @@ func (srv *Server) registerReplica(addr, nonce string) (*replicaReg, error) {
 	}
 	srv.replMu.Unlock()
 
+	// A new registration outlives the message that carried its address.
+	addr = strings.Clone(addr)
 	fresh := make([]*replication.SockTransport, len(srv.shards))
 	for i := range srv.shards {
 		t, err := replication.NewSockTransport(i, addr, srv.cfg.MaxFrame)

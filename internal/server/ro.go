@@ -63,8 +63,10 @@ const maxTMinLead = time.Second
 
 // roWaiter is one shard's portion of a snapshot read. It parks on the
 // shard (s.roBlocked) while its blocking set await is non-empty; the reply
-// channel is buffered so shard loops never block sending it.
+// channel is buffered so shard loops never block sending it. The
+// coordinator's waiters live in its pooled scratch, one per shard.
 type roWaiter struct {
+	s     *shard
 	keys  []string
 	tread truetime.Timestamp
 	tmin  truetime.Timestamp
@@ -78,9 +80,14 @@ type roWaiter struct {
 	// pset is P: conflicting prepared transactions with t_p ≤ t_read at
 	// arrival. await is its blocking subset B; entries are removed as
 	// they resolve. Allocated lazily — most reads meet an empty prepared
-	// set.
+	// set — and then kept with the waiter.
 	pset  map[uint64]bool
 	await map[uint64]bool
+
+	// vals is the backing of the reply's versioned reads, kept with the
+	// waiter; the coordinator is done with a reply's vals before it
+	// releases the scratch.
+	vals []roVal
 
 	// parkedAt is when the waiter joined s.roBlocked (zero when the read
 	// was served without blocking); roReply records the park duration.
@@ -90,6 +97,19 @@ type roWaiter struct {
 	// join is the coordinator's exposure join: roReply queues one release
 	// of it, covering the versions this portion read.
 	join *exposureJoin
+
+	// start is s.roRead(w) as a closure, bound once when the pool makes
+	// the scratch, so fanning out submits a func() that already exists.
+	start func()
+}
+
+// begin resets w for one read of keys at tread.
+func (w *roWaiter) begin(keys []string, tread, tmin truetime.Timestamp, chaos bool) {
+	w.keys, w.tread, w.tmin, w.chaos = keys, tread, tmin, chaos
+	w.leaked = false
+	w.parkedAt = time.Time{}
+	clear(w.pset)
+	clear(w.await)
 }
 
 // roVal is a versioned read result, shard → coordinator.
@@ -130,6 +150,7 @@ type roScratch struct {
 	keys     []string
 	shardIDs []int      // involved shard ids, fan-out order
 	perShard [][]string // keys per shard, indexed by shard id
+	waiters  []roWaiter // the leader-served portions, indexed by shard id
 	vals     map[string]roVal
 	skipped  []roSkip
 	reply    chan roShardReply
@@ -138,26 +159,42 @@ type roScratch struct {
 }
 
 func (srv *Server) newROScratch() *roScratch {
-	return &roScratch{
+	sc := &roScratch{
 		seen:     make(map[string]bool),
 		perShard: make([][]string, len(srv.shards)),
+		waiters:  make([]roWaiter, len(srv.shards)),
 		vals:     make(map[string]roVal),
 		reply:    make(chan roShardReply, len(srv.shards)),
 		join:     exposureJoin{ch: make(chan struct{}, 1)},
 	}
+	for i := range sc.waiters {
+		w := &sc.waiters[i]
+		w.s, w.reply, w.join = srv.shards[i], sc.reply, &sc.join
+		w.start = func() { w.s.roRead(w) }
+	}
+	return sc
 }
 
 // release resets the scratch and returns it to the pool. Callers must not
 // release a scratch whose reply channel may still receive a send or whose
-// key slices a follower may still read.
+// key slices a follower may still read. Everything that holds a string is
+// cleared, not truncated: keys are views into the request's frame (see
+// package wire), and a pooled scratch must not pin it — nor the values,
+// which belong to the store.
 func (sc *roScratch) release(srv *Server) {
 	clear(sc.seen)
 	clear(sc.vals)
+	clear(sc.keys)
 	sc.keys = sc.keys[:0]
 	for _, sid := range sc.shardIDs {
+		clear(sc.perShard[sid])
 		sc.perShard[sid] = sc.perShard[sid][:0]
+		w := &sc.waiters[sid]
+		w.keys = nil
+		clear(w.vals)
 	}
 	sc.shardIDs = sc.shardIDs[:0]
+	clear(sc.skipped)
 	sc.skipped = sc.skipped[:0]
 	sc.trace.Reset()
 	srv.roPool.Put(sc)
@@ -219,11 +256,12 @@ func (s *shard) roReply(w *roWaiter) {
 	if !w.parkedAt.IsZero() {
 		s.srv.metrics.roBlockWait.ObserveSince(w.parkedAt)
 	}
-	reply := roShardReply{vals: make([]roVal, 0, len(w.keys))}
+	w.vals = w.vals[:0]
 	for _, k := range w.keys {
 		v := s.store.ReadAt(k, w.tread)
-		reply.vals = append(reply.vals, roVal{key: k, value: v.Value, ts: v.TS})
+		w.vals = append(w.vals, roVal{key: k, value: v.Value, ts: v.TS})
 	}
+	reply := roShardReply{vals: w.vals}
 	for id := range w.pset {
 		p := s.prepared[id]
 		if p == nil {
@@ -248,9 +286,10 @@ func (s *shard) roReply(w *roWaiter) {
 // reads) is identical behind the interface. It runs on its own goroutine
 // so watermark parks and timeouts across shards overlap instead of
 // serializing; the reply lands on the coordinator's fan-out channel
-// either way.
-func (srv *Server) followerRead(s *shard, f replication.Transport, keys []string, tread, tmin truetime.Timestamp, reply chan roShardReply, join *exposureJoin) {
-	fvals, ok, abandoned := f.Read(tread, keys, srv.cfg.FollowerReadTimeout)
+// either way. w is the shard's waiter in the coordinator's scratch, already
+// set up for the leader fallback.
+func (srv *Server) followerRead(f replication.Transport, w *roWaiter) {
+	fvals, ok, abandoned := f.Read(w.tread, w.keys, srv.cfg.FollowerReadTimeout)
 	if ok {
 		srv.stats.ROFollower.Add(1)
 		if f.Kind() == "sock" {
@@ -258,14 +297,12 @@ func (srv *Server) followerRead(s *shard, f replication.Transport, keys []string
 		} else {
 			srv.stats.ROFollowerChan.Add(1)
 		}
-		reply <- roShardReply{fvals: fvals, follower: true}
+		w.reply <- roShardReply{fvals: fvals, follower: true}
 		return
 	}
 	srv.stats.ROFallback.Add(1)
-	w := &roWaiter{keys: keys, tread: tread, tmin: tmin, leaked: abandoned, reply: reply, join: join}
-	if !s.run(func() { s.roRead(w) }) {
-		return // server closing; the coordinator abandons via srv.quit
-	}
+	w.leaked = abandoned
+	w.s.run(w.start) // refused only by a closing server; the coordinator abandons via srv.quit
 }
 
 // readOnly coordinates a snapshot read-only transaction across shards and
@@ -386,20 +423,20 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 	lagBudget := truetime.Timestamp(srv.cfg.FollowerReadTimeout)
 	fanout := 0
 	for _, sid := range sc.shardIDs {
-		s, ks := srv.shards[sid], sc.perShard[sid]
+		s, w := srv.shards[sid], &sc.waiters[sid]
+		w.begin(sc.perShard[sid], tread, tmin, chaos)
 		fanout++
 		// Active() gates the scan so a join-enabled server with no
 		// replicas attached neither pays the routing scan nor counts
 		// phantom fallbacks.
 		if s.repl != nil && s.repl.Active() && !chaos {
 			if f := s.repl.Route(tread, lagBudget); f != nil {
-				go srv.followerRead(s, f, ks, tread, tmin, sc.reply, &sc.join)
+				go srv.followerRead(f, w)
 				continue
 			}
 			srv.stats.ROFallback.Add(1)
 		}
-		w := &roWaiter{keys: ks, tread: tread, tmin: tmin, chaos: chaos, reply: sc.reply, join: &sc.join}
-		if !s.run(func() { s.roRead(w) }) {
+		if !s.run(w.start) {
 			cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: errClosed.Error()})
 			return // abandoned: pending sends may still land on sc.reply
 		}

@@ -34,6 +34,7 @@
 package server
 
 import (
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -242,11 +243,23 @@ func (s *shard) safeWatermark() truetime.Timestamp {
 // replicate buffers one entry for the shard's replication log; the batch
 // is appended by flush at the end of the current loop drain. A no-op
 // on unreplicated shards. Loop-only.
+//
+// The log keeps its entries long after the request is gone, and the keys of
+// a request's write set are views into the request's frame (see package
+// wire), so this is where they are copied; the values already are copies
+// of their own, shared with the store.
 func (s *shard) replicate(kind replication.EntryKind, txnID uint64, ts truetime.Timestamp, writes []wire.KV) {
 	if s.repl == nil {
 		return
 	}
-	s.replBuf = append(s.replBuf, replication.Entry{Kind: kind, TxnID: txnID, TS: ts, Writes: writes})
+	var owned []wire.KV
+	if len(writes) > 0 {
+		owned = make([]wire.KV, len(writes))
+		for i, kv := range writes {
+			owned[i] = wire.KV{Key: strings.Clone(kv.Key), Value: kv.Value}
+		}
+	}
+	s.replBuf = append(s.replBuf, replication.Entry{Kind: kind, TxnID: txnID, TS: ts, Writes: owned})
 }
 
 // walAppend buffers one record on the shard's log, returning its LSN

@@ -25,21 +25,35 @@ var (
 	errTxnActive = errors.New("transaction already in flight")
 )
 
-// txnPlan is a transaction's footprint, grouped by shard. Plans are
-// pooled on the server (srv.txnPool): the maps and the read/lock slices
-// are reused across transactions, mirroring the RO coordinator's scratch.
-// The per-shard write slices are the exception — they escape the
-// transaction's lifetime into the shard prepared sets and the replication
-// log, so release() drops them for the garbage collector instead of
-// recycling their backing arrays.
+// txnPlan is everything one transaction needs while it runs: its footprint
+// grouped by shard, the coordinator's notification channels, and — one slot
+// per shard — the inputs and the pre-bound closures of the lock, prepare,
+// apply and abort steps, so that running a step submits a func() that
+// already exists instead of allocating a closure per shard and phase. Plans
+// are pooled on the server (srv.txnPool), mirroring the RO coordinator's
+// scratch. Two things leave the plan's lifetime and are dropped for the
+// garbage collector by release instead of being recycled: the per-shard
+// write slices (they escape into the shard prepared sets and the
+// replication log) and the result slices (they become the response).
 type txnPlan struct {
-	shards  []int             // involved shard ids, ascending
-	reads   [][]string        // read keys per shard id, request order
-	writes  [][]wire.KV       // write set per shard id, first-occurrence order
-	lockReq [][]locks.Request // union of both sets with lock modes, per shard id
+	shards []int     // involved shard ids, ascending
+	slots  []txnSlot // indexed by shard id
 
 	written  map[string]int // write key -> index into its shard's write slice
 	seenRead map[string]bool
+
+	// What the coordinator decides between phases, read by the steps: the
+	// transaction's identity, the advertised earliest end time (before
+	// prepare) and the commit timestamp (before apply).
+	txn locks.TxnID
+	tee truetime.Timestamp
+	tc  truetime.Timestamp
+
+	// The read results, in request order (first occurrence of each key).
+	// Allocated per transaction; each apply step fills in its own shard's
+	// positions (txnSlot.readPos), which no other shard touches.
+	kvs  []wire.KV
+	vers []int64
 
 	// The coordinator's notification channels, pooled with the plan. All
 	// are sized for the maximal footprint (every shard involved), so sends
@@ -48,10 +62,9 @@ type txnPlan struct {
 	// (apply, or abort's release) is queued behind — and release only runs
 	// after the coordinator drained that final round — so no send can land
 	// after release drains the residue below.
-	notify  chan shardEvent  // lock grants and wounds (2 events/shard)
-	prepCh  chan prepResult  // prepare outcomes
-	applyCh chan applyResult // apply-phase read results
-	abortCh chan struct{}    // abort-release completions
+	notify chan shardEvent // lock grants and wounds (2 events/shard)
+	prepCh chan prepResult // prepare outcomes
+	done   chan struct{}   // final-step completions (apply, or abort's release)
 
 	// join collects one release per participant's apply closure, from the
 	// shard flushes that follow them (see exposure.go).
@@ -60,47 +73,69 @@ type txnPlan struct {
 	trace obs.Trace // per-stage timeline for the slow-op log
 }
 
+// txnSlot is one shard's share of a plan.
+type txnSlot struct {
+	p *txnPlan
+	s *shard
+
+	reads   []string        // read keys, request order
+	readPos []int           // where each read's result goes in p.kvs / p.vers
+	writes  []wire.KV       // write set, first-occurrence order
+	lockReq []locks.Request // union of both sets with lock modes
+
+	// w is this shard's lock acquisition, registered in s.waiters from the
+	// lock step until the transaction's final step here.
+	w waiter
+
+	// The steps as closures over this slot, bound once when the pool makes
+	// the plan.
+	lock, prepare, apply, abort func()
+}
+
 // prepResult is one shard's prepare-phase outcome.
 type prepResult struct {
 	ok bool
 	tp truetime.Timestamp
 }
 
-// applyResult is one shard's apply-phase outcome: the read results with
-// their version witnesses.
-type applyResult struct {
-	kvs  []wire.KV
-	vers []int64
-}
-
 func (srv *Server) newTxnPlan() *txnPlan {
 	n := len(srv.shards)
-	return &txnPlan{
-		reads:    make([][]string, n),
-		writes:   make([][]wire.KV, n),
-		lockReq:  make([][]locks.Request, n),
+	p := &txnPlan{
+		slots:    make([]txnSlot, n),
 		written:  map[string]int{},
 		seenRead: map[string]bool{},
 		notify:   make(chan shardEvent, 2*n),
 		prepCh:   make(chan prepResult, n),
-		applyCh:  make(chan applyResult, n),
-		abortCh:  make(chan struct{}, n),
+		done:     make(chan struct{}, n),
 		join:     exposureJoin{ch: make(chan struct{}, 1)},
 	}
+	for i := range p.slots {
+		sl := &p.slots[i]
+		sl.p, sl.s = p, srv.shards[i]
+		sl.lock, sl.prepare, sl.apply, sl.abort = sl.lockStep, sl.prepareStep, sl.applyStep, sl.abortStep
+	}
+	return p
 }
 
 // release resets the plan and returns it to the pool. Callers must not
 // release a plan whose shard closures may still be queued (abandoned
-// operations on a closing server leak their plan instead).
+// operations on a closing server leak their plan instead). Everything that
+// holds a string is cleared, not truncated: the keys are views into the
+// request's frame (see package wire), and a pooled plan must not pin it.
 func (p *txnPlan) release(srv *Server) {
 	for _, sid := range p.shards {
-		p.reads[sid] = p.reads[sid][:0]
-		p.writes[sid] = nil // escaped into prepared sets / replication log
-		p.lockReq[sid] = p.lockReq[sid][:0]
+		sl := &p.slots[sid]
+		clear(sl.reads)
+		sl.reads = sl.reads[:0]
+		sl.readPos = sl.readPos[:0]
+		sl.writes = nil // escaped into prepared sets / replication log
+		clear(sl.lockReq)
+		sl.lockReq = sl.lockReq[:0]
 	}
 	p.shards = p.shards[:0]
 	clear(p.written)
 	clear(p.seenRead)
+	p.kvs, p.vers = nil, nil // escaped into the response
 	// Drain channel residue from paths that stop reading early: wounds
 	// that raced the last grants, sibling prepares behind a failed one.
 	for len(p.notify) > 0 {
@@ -109,11 +144,8 @@ func (p *txnPlan) release(srv *Server) {
 	for len(p.prepCh) > 0 {
 		<-p.prepCh
 	}
-	for len(p.applyCh) > 0 {
-		<-p.applyCh
-	}
-	for len(p.abortCh) > 0 {
-		<-p.abortCh
+	for len(p.done) > 0 {
+		<-p.done
 	}
 	p.trace.Reset()
 	srv.txnPool.Put(p)
@@ -123,41 +155,151 @@ func (p *txnPlan) release(srv *Server) {
 // both sets is locked exclusively; duplicate writes keep the last value.
 func (srv *Server) plan(txn locks.TxnID, readKeys []string, writeKVs []wire.KV) *txnPlan {
 	p := srv.txnPool.Get().(*txnPlan)
+	p.txn = txn
 	prio := int64(txn.Seq)
-	touch := func(sid int) {
-		if len(p.reads[sid]) == 0 && len(p.writes[sid]) == 0 && len(p.lockReq[sid]) == 0 {
-			p.shards = append(p.shards, sid)
+	touch := func(sl *txnSlot) {
+		if len(sl.reads) == 0 && len(sl.writes) == 0 && len(sl.lockReq) == 0 {
+			p.shards = append(p.shards, sl.s.id)
 		}
 	}
 	for _, kv := range writeKVs {
-		sid := srv.shardFor(kv.Key).id
+		sl := &p.slots[srv.shardFor(kv.Key).id]
 		if i, dup := p.written[kv.Key]; dup {
-			p.writes[sid][i].Value = kv.Value
+			sl.writes[i].Value = kv.Value
 			continue
 		}
-		touch(sid)
-		p.written[kv.Key] = len(p.writes[sid])
-		p.writes[sid] = append(p.writes[sid], kv)
-		p.lockReq[sid] = append(p.lockReq[sid], locks.Request{
+		touch(sl)
+		p.written[kv.Key] = len(sl.writes)
+		sl.writes = append(sl.writes, kv)
+		sl.lockReq = append(sl.lockReq, locks.Request{
 			Txn: txn, Key: kv.Key, Mode: locks.Exclusive, Prio: prio,
 		})
 	}
+	nReads := 0
 	for _, k := range readKeys {
 		if p.seenRead[k] {
 			continue
 		}
 		p.seenRead[k] = true
-		sid := srv.shardFor(k).id
-		touch(sid)
-		p.reads[sid] = append(p.reads[sid], k)
+		sl := &p.slots[srv.shardFor(k).id]
+		touch(sl)
+		sl.reads = append(sl.reads, k)
+		sl.readPos = append(sl.readPos, nReads)
+		nReads++
 		if _, w := p.written[k]; !w {
-			p.lockReq[sid] = append(p.lockReq[sid], locks.Request{
+			sl.lockReq = append(sl.lockReq, locks.Request{
 				Txn: txn, Key: k, Mode: locks.Shared, Prio: prio,
 			})
 		}
 	}
+	if nReads > 0 {
+		p.kvs, p.vers = make([]wire.KV, nReads), make([]int64, nReads)
+	}
 	sort.Ints(p.shards)
 	return p
+}
+
+// lockStep acquires the slot's footprint. Loop-only, like every step.
+func (sl *txnSlot) lockStep() {
+	s, txn := sl.s, sl.p.txn
+	sl.w = waiter{notify: sl.p.notify, shard: s.id}
+	for _, lr := range sl.lockReq {
+		if s.lm.Acquire(lr) == locks.Waiting {
+			sl.w.need++
+		}
+	}
+	s.waiters[txn] = &sl.w // registered even if fully granted, for wound delivery
+	if sl.w.need == 0 {
+		sl.p.notify <- shardEvent{shard: s.id}
+	}
+	s.lm.Flush()
+}
+
+// prepareStep forecloses wounds (or observes one), chooses the shard's
+// prepare timestamp and, if the shard owns writes, enters the prepared set.
+func (sl *txnSlot) prepareStep() {
+	s, p := sl.s, sl.p
+	txn, txnID := p.txn, p.txn.Seq
+	if s.lm.Wounded(txn) {
+		p.prepCh <- prepResult{}
+		return
+	}
+	s.lm.SetPrepared(txn)
+	tp := s.nextTS()
+	if len(sl.writes) > 0 {
+		// The entry is a heap object of its own, not part of the slot: its
+		// watcher list is handed to the release queue at resolution, and an
+		// aborting transaction recycles its plan without waiting for that
+		// queue to run.
+		s.prepared[txnID] = &prepEntry{tp: tp, tee: p.tee, writes: sl.writes}
+		// The record carries the write set (unlike the replication
+		// entry) so recovery can rebuild the prepared entry and its
+		// exclusive lock footprint.
+		s.walAppend(wal.KindPrepare, txnID, tp, p.tee, sl.writes)
+		s.replicate(replication.EntryPrepare, txnID, tp, nil)
+	}
+	if s.srv.cfg.ChaosDroppedLockRelease {
+		// Chaos: drop the strict-2PL hold-until-apply rule and
+		// release the footprint at prepare. Conflicting operations
+		// now slip between the commit decision and its reads and
+		// writes below — unprotected reads and lost updates the
+		// checker must catch. ReleaseAll clears the wound mark, so
+		// the apply phase proceeds as if undisturbed.
+		delete(s.waiters, txn)
+		s.lm.ReleaseAll(txn)
+		s.lm.Flush()
+	}
+	p.prepCh <- prepResult{ok: true, tp: tp}
+}
+
+// applyStep commits the slot at p.tc: read the pre-state, install the
+// writes, resolve the prepared entry, release the locks.
+func (sl *txnSlot) applyStep() {
+	s, p := sl.s, sl.p
+	txn, txnID, tc := p.txn, p.txn.Seq, p.tc
+	for i, k := range sl.reads {
+		v := s.store.Latest(k)
+		p.kvs[sl.readPos[i]] = wire.KV{Key: k, Value: v.Value}
+		p.vers[sl.readPos[i]] = int64(v.TS)
+	}
+	for _, kv := range sl.writes {
+		s.store.Write(kv.Key, kv.Value, tc)
+	}
+	if tc > s.maxTS {
+		s.maxTS = tc
+	}
+	if s.prepared[txnID] != nil {
+		// Commit record first, then resolve: the flush that releases
+		// the outcome to watchers then covers the record.
+		s.walAppend(wal.KindCommit, txnID, tc, 0, sl.writes)
+		s.resolvePrepared(txnID, true, tc)
+		s.replicate(replication.EntryCommit, txnID, tc, sl.writes)
+	}
+	// Even a read-only participant joins: its reads may have
+	// observed records still in the current batch.
+	s.expose(exposure{join: &p.join})
+	delete(s.waiters, txn)
+	s.lm.ReleaseAll(txn)
+	s.lm.Flush()
+	p.done <- struct{}{}
+}
+
+// abortStep releases the transaction's locks and queued requests here and
+// resolves its prepared entry, if any, as aborted.
+func (sl *txnSlot) abortStep() {
+	s, txn := sl.s, sl.p.txn
+	if s.prepared[txn.Seq] != nil {
+		// Abort record before the resolution, mirroring commit; no
+		// durability wait follows — presumed abort means recovery
+		// treats a missing resolution as an abort anyway.
+		s.walAppend(wal.KindAbort, txn.Seq, 0, 0, nil)
+		s.resolvePrepared(txn.Seq, false, 0)
+		s.replicate(replication.EntryAbort, txn.Seq, 0, nil)
+	}
+	delete(s.waiters, txn)
+	s.lm.ReleaseAll(txn)
+	s.lm.Flush()
+	sl.p.done <- struct{}{}
 }
 
 // runTxn executes a one-shot transaction: read every key in readKeys and
@@ -218,7 +360,7 @@ func (srv *Server) runTxn(txnID uint64, readKeys []string, writeKVs []wire.KV) (
 		elapsed := time.Since(start)
 		p.trace.Mark(stage, elapsed)
 		m.slow.Record("rw-abort", txnID, &p.trace, elapsed)
-		err := srv.abortTxn(txn, p)
+		err := srv.abortTxn(p)
 		if err == errAborted {
 			p.release(srv)
 		}
@@ -229,20 +371,8 @@ func (srv *Server) runTxn(txnID uint64, readKeys []string, writeKVs []wire.KV) (
 	// shard so lock-table callbacks never block an apply loop.
 	notify := p.notify
 	for _, sid := range p.shards {
-		s, reqs := srv.shards[sid], p.lockReq[sid]
-		s.run(func() {
-			w := &waiter{notify: notify, shard: s.id}
-			for _, lr := range reqs {
-				if s.lm.Acquire(lr) == locks.Waiting {
-					w.need++
-				}
-			}
-			s.waiters[txn] = w // registered even if fully granted, for wound delivery
-			if w.need == 0 {
-				notify <- shardEvent{shard: s.id}
-			}
-			s.lm.Flush()
-		})
+		sl := &p.slots[sid]
+		sl.s.run(sl.lock)
 	}
 	granted := 0
 	for granted < len(p.shards) {
@@ -267,46 +397,20 @@ func (srv *Server) runTxn(txnID uint64, readKeys []string, writeKVs []wire.KV) (
 	// prepared set so concurrent snapshot reads can see (and wait for or
 	// skip) this transaction.
 	tee := srv.clock.Now().Earliest + truetime.Timestamp(srv.cfg.CommitEstimate)
+	p.tee = tee
 	prepCh := p.prepCh
 	for _, sid := range p.shards {
-		s, wkvs := srv.shards[sid], p.writes[sid]
-		s.run(func() {
-			if s.lm.Wounded(txn) {
-				prepCh <- prepResult{}
-				return
-			}
-			s.lm.SetPrepared(txn)
-			tp := s.nextTS()
-			if len(wkvs) > 0 {
-				s.prepared[txnID] = &prepEntry{tp: tp, tee: tee, writes: wkvs}
-				// The record carries the write set (unlike the replication
-				// entry) so recovery can rebuild the prepared entry and its
-				// exclusive lock footprint.
-				s.walAppend(wal.KindPrepare, txnID, tp, tee, wkvs)
-				s.replicate(replication.EntryPrepare, txnID, tp, nil)
-			}
-			if s.srv.cfg.ChaosDroppedLockRelease {
-				// Chaos: drop the strict-2PL hold-until-apply rule and
-				// release the footprint at prepare. Conflicting operations
-				// now slip between the commit decision and its reads and
-				// writes below — unprotected reads and lost updates the
-				// checker must catch. ReleaseAll clears the wound mark, so
-				// the apply phase proceeds as if undisturbed.
-				delete(s.waiters, txn)
-				s.lm.ReleaseAll(txn)
-				s.lm.Flush()
-			}
-			prepCh <- prepResult{ok: true, tp: tp}
-		})
+		sl := &p.slots[sid]
+		sl.s.run(sl.prepare)
 	}
 	var tc truetime.Timestamp
 	for range p.shards {
 		select {
 		case pr := <-prepCh:
 			if !pr.ok {
-				// Undrained sibling prepares may still run, but they only
-				// reference the write slices, which release never recycles
-				// — so aborting (and pooling the rest) here is safe.
+				// Sibling prepares may not have run yet, but each shard's
+				// abort step is queued behind its prepare step, so all of
+				// them have finished with the plan when abort returns.
 				return nil, nil, 0, abort("wound-prepare")
 			}
 			if pr.tp > tc {
@@ -334,47 +438,14 @@ func (srv *Server) runTxn(txnID uint64, readKeys []string, writeKVs []wire.KV) (
 	// entry wakes snapshot reads and watchers, and the locks are released
 	// in the same loop iteration so no operation can observe the window
 	// between them.
-	applyCh := p.applyCh
+	p.tc = tc
 	for _, sid := range p.shards {
-		s, rks, wkvs := srv.shards[sid], p.reads[sid], p.writes[sid]
-		s.run(func() {
-			res := applyResult{kvs: make([]wire.KV, 0, len(rks))}
-			for _, k := range rks {
-				v := s.store.Latest(k)
-				res.kvs = append(res.kvs, wire.KV{Key: k, Value: v.Value})
-				res.vers = append(res.vers, int64(v.TS))
-			}
-			for _, kv := range wkvs {
-				s.store.Write(kv.Key, kv.Value, tc)
-			}
-			if tc > s.maxTS {
-				s.maxTS = tc
-			}
-			if s.prepared[txnID] != nil {
-				// Commit record first, then resolve: the flush that releases
-				// the outcome to watchers then covers the record.
-				s.walAppend(wal.KindCommit, txnID, tc, 0, wkvs)
-				s.resolvePrepared(txnID, true, tc)
-				s.replicate(replication.EntryCommit, txnID, tc, wkvs)
-			}
-			// Even a read-only participant joins: its reads may have
-			// observed records still in the current batch.
-			s.expose(exposure{join: &p.join})
-			delete(s.waiters, txn)
-			s.lm.ReleaseAll(txn)
-			s.lm.Flush()
-			applyCh <- res
-		})
+		sl := &p.slots[sid]
+		sl.s.run(sl.apply)
 	}
-	byKey := map[string]string{}
-	verByKey := map[string]int64{}
 	for range p.shards {
 		select {
-		case res := <-applyCh:
-			for i, kv := range res.kvs {
-				byKey[kv.Key] = kv.Value
-				verByKey[kv.Key] = res.vers[i]
-			}
+		case <-p.done:
 		case <-srv.quit:
 			return nil, nil, 0, errClosed
 		}
@@ -409,18 +480,10 @@ func (srv *Server) runTxn(txnID uint64, readKeys []string, writeKVs []wire.KV) (
 	p.trace.Mark("commit-wait", total)
 	m.slow.Record("rw-txn", txnID, &p.trace, total)
 
-	// Return read results in request order (dedup preserved the first
-	// occurrence of each key). Every shard closure has completed (applyCh
-	// drained), so the plan can be recycled.
-	emitted := map[string]bool{}
-	for _, k := range readKeys {
-		if emitted[k] {
-			continue
-		}
-		emitted[k] = true
-		reads = append(reads, wire.KV{Key: k, Value: byKey[k]})
-		readVers = append(readVers, verByKey[k])
-	}
+	// The apply steps left the read results in request order (dedup kept
+	// the first occurrence of each key). Every shard closure has completed
+	// (done drained), so the plan can be recycled.
+	reads, readVers = p.kvs, p.vers
 	p.release(srv)
 	return reads, readVers, int64(tc), nil
 }
@@ -431,28 +494,14 @@ func (srv *Server) runTxn(txnID uint64, readKeys []string, writeKVs []wire.KV) (
 // land, and reports errAborted. ReleaseAll clears the wounded mark, so a
 // retry under the same ID (and thus the same wound-wait priority) starts
 // clean but keeps its age.
-func (srv *Server) abortTxn(txn locks.TxnID, p *txnPlan) error {
-	done := p.abortCh
+func (srv *Server) abortTxn(p *txnPlan) error {
 	for _, sid := range p.shards {
-		s := srv.shards[sid]
-		s.run(func() {
-			if s.prepared[txn.Seq] != nil {
-				// Abort record before the resolution, mirroring commit; no
-				// durability wait follows — presumed abort means recovery
-				// treats a missing resolution as an abort anyway.
-				s.walAppend(wal.KindAbort, txn.Seq, 0, 0, nil)
-				s.resolvePrepared(txn.Seq, false, 0)
-				s.replicate(replication.EntryAbort, txn.Seq, 0, nil)
-			}
-			delete(s.waiters, txn)
-			s.lm.ReleaseAll(txn)
-			s.lm.Flush()
-			done <- struct{}{}
-		})
+		sl := &p.slots[sid]
+		sl.s.run(sl.abort)
 	}
 	for range p.shards {
 		select {
-		case <-done:
+		case <-p.done:
 		case <-srv.quit:
 			return errClosed
 		}

@@ -314,6 +314,7 @@ func (l *Log) Sync(watermark int64) (int, error) {
 	l.fsyncs.Add(1)
 	l.bytes.Add(uint64(len(buf)))
 	n := len(l.pending)
+	clear(l.pending) // the idle buffer must not pin the batch's write sets
 	l.pending = l.pending[:0]
 	l.durable.Add(uint64(n))
 	if l.cfg.CrashAt == CrashAfterPrepare && hasPrepare && l.trip() {

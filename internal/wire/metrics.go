@@ -77,7 +77,7 @@ func appendMetricVals(buf []byte, vs []MetricVal) []byte {
 // DecodeMetricsPayload parses a payload produced by AppendMetricsPayload.
 func DecodeMetricsPayload(payload []byte) (*MetricsPayload, error) {
 	d := decoder{b: payload}
-	p := &MetricsPayload{Source: d.string()}
+	p := &MetricsPayload{Source: d.owned()}
 	p.Counters = d.metricVals()
 	p.Gauges = d.metricVals()
 	n := d.count()
@@ -89,7 +89,7 @@ func DecodeMetricsPayload(payload []byte) (*MetricsPayload, error) {
 	}
 	for i := 0; i < n; i++ {
 		var h MetricHist
-		h.Name = d.string()
+		h.Name = d.owned()
 		h.Count = d.uvarint()
 		h.Sum = d.varint()
 		if nb := d.count(); nb > 0 {
@@ -123,7 +123,7 @@ func (d *decoder) metricVals() []MetricVal {
 	vs := make([]MetricVal, 0, n)
 	for i := 0; i < n; i++ {
 		var v MetricVal
-		v.Name = d.string()
+		v.Name = d.owned()
 		v.Value = d.varint()
 		if d.err != nil {
 			return nil

@@ -82,8 +82,8 @@ func DecodeReplEntries(payload []byte) ([]ReplEntry, error) {
 		if w := d.count(); w > 0 {
 			e.Writes = make([]KV, w)
 			for j := range e.Writes {
-				e.Writes[j].Key = d.string()
-				e.Writes[j].Value = d.string()
+				e.Writes[j].Key = d.owned()
+				e.Writes[j].Value = d.owned()
 			}
 		}
 		if d.err != nil {
@@ -118,8 +118,8 @@ func DecodeReplVals(payload []byte) ([]ReplVal, error) {
 	vs := make([]ReplVal, 0, n)
 	for i := 0; i < n; i++ {
 		var v ReplVal
-		v.Key = d.string()
-		v.Value = d.string()
+		v.Key = d.owned()
+		v.Value = d.owned()
 		v.TS = d.varint()
 		if d.err != nil {
 			return nil, d.err

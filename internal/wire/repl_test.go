@@ -125,7 +125,7 @@ func TestOversizedSnapshotFrame(t *testing.T) {
 	if len(payload) <= MaxFrame {
 		t.Fatalf("test snapshot only %d bytes, need > MaxFrame", len(payload))
 	}
-	if err := WriteFrame(discard{}, payload); err != nil {
+	if err := WriteResponse(discard{}, resp); err != nil {
 		t.Fatalf("writer refused an over-default-limit snapshot: %v", err)
 	}
 	// Round-trip through a large-limit reader: content survives.

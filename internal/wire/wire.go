@@ -14,6 +14,26 @@
 // transaction ID, whose value doubles as the wound-wait priority — retrying
 // an aborted commit under the same ID keeps the transaction's age, which is
 // what makes the retry loop livelock-free.
+//
+// # Who owns a decoded string
+//
+// DecodeRequest and DecodeResponse copy a payload at most once — the frame's
+// arena, made the first time a non-empty string is decoded — and hand out
+// keys, Key, Err and response values as sub-strings of it. A decoded string
+// is therefore a view: it stays valid for as long as anyone holds it, but
+// it keeps the whole arena alive with it. A request or a response is
+// short-lived, so that is the cheap default; the rule that keeps memory
+// flat is that whatever enters a structure that outlives the message is
+// copied exactly once on the way in (strings.Clone), at the place that
+// retains it rather than at every use: mvstore.Write clones a key it
+// inserts, the server clones write keys into the replication log, the queue
+// service clones a new queue's name, kvclient clones a leader address it
+// adopts. The one exception is decided here because it is always retained:
+// a request's Value and its KVs' values go into the version store, so they
+// are decoded as copies of their own and the store, the prepared set, the
+// replication log and an in-process follower all share that copy. The
+// nested payload codecs (repl.go, metrics.go) copy every string: what they
+// decode is installed whole into a replica or kept as a snapshot.
 package wire
 
 import (
@@ -271,8 +291,8 @@ const (
 	MaxFrame = 1 << 20
 	// maxEncodable is the largest length the frame header can carry.
 	maxEncodable = 1<<32 - 1
-	// lenSize is the frame header size: a 4-byte big-endian length.
-	lenSize = 4
+	// FrameHeaderLen is the frame header size: a 4-byte big-endian length.
+	FrameHeaderLen = 4
 )
 
 // ErrMsgAborted is the Err value of a transactional response whose
@@ -334,21 +354,27 @@ func AppendRequest(buf []byte, r *Request) []byte {
 // typical commit-shaped frame needed (Request, Keys backing, KVs backing)
 // can still be collapsed into one. Slices handed out from the inline
 // arrays stay valid exactly as long as the Request itself: they pin the
-// box, and the box pins nothing else.
+// box, and the box pins nothing else. The arrays are sized for the paper's
+// Retwis shapes (up to 10 reads, up to 5 writes) within the 512 bytes the
+// box occupied before.
 type requestBox struct {
 	req  Request
-	keys [8]string
-	kvs  [8]KV
+	keys [10]string
+	kvs  [7]KV
 }
 
-// responseBox is the Response-side equivalent of requestBox.
+// responseBox is the Response-side equivalent of requestBox: room for a
+// ten-key read's results.
 type responseBox struct {
 	resp Response
-	kvs  [8]KV
-	vers [8]int64
+	kvs  [10]KV
+	vers [10]int64
 }
 
-// DecodeRequest parses a request payload produced by AppendRequest.
+// DecodeRequest parses a request payload produced by AppendRequest. Keys
+// are views into one copy of the payload; Value and the KVs' values are
+// copies of their own (see the package comment). payload may be reused as
+// soon as DecodeRequest returns.
 func DecodeRequest(payload []byte) (*Request, error) {
 	d := decoder{b: payload}
 	box := &requestBox{}
@@ -360,7 +386,7 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	r.ID = d.uvarint()
 	r.TxnID = d.uvarint()
 	r.Key = d.string()
-	r.Value = d.string()
+	r.Value = d.owned()
 	if n := d.count(); n > 0 {
 		if n <= len(box.keys) {
 			r.Keys = box.keys[:n]
@@ -379,7 +405,7 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		}
 		for i := range r.KVs {
 			r.KVs[i].Key = d.string()
-			r.KVs[i].Value = d.string()
+			r.KVs[i].Value = d.owned()
 		}
 	}
 	r.TMin = d.varint()
@@ -432,6 +458,9 @@ func AppendResponse(buf []byte, r *Response) []byte {
 }
 
 // DecodeResponse parses a response payload produced by AppendResponse.
+// Every string of the result is a view into one copy of the payload (see
+// the package comment). payload may be reused as soon as DecodeResponse
+// returns.
 func DecodeResponse(payload []byte) (*Response, error) {
 	d := decoder{b: payload}
 	box := &responseBox{}
@@ -486,40 +515,33 @@ func DecodeResponse(payload []byte) (*Response, error) {
 
 // WriteRequest frames and writes r. The caller provides buffering.
 func WriteRequest(w io.Writer, r *Request) error {
-	return writeFrame(w, AppendRequest(make([]byte, lenSize), r))
+	return WriteFrame(w, AppendRequest(BeginFrame(nil), r))
 }
 
 // WriteResponse frames and writes r. The caller provides buffering.
 func WriteResponse(w io.Writer, r *Response) error {
-	return writeFrame(w, AppendResponse(make([]byte, lenSize), r))
+	return WriteFrame(w, AppendResponse(BeginFrame(nil), r))
 }
 
-// writeFrame fills buf's first lenSize bytes with the payload length and
-// writes the whole frame in one call.
-func writeFrame(w io.Writer, buf []byte) error {
-	n := len(buf) - lenSize
+// BeginFrame empties buf and reserves the frame header in it. Append one
+// payload (AppendRequest, AppendResponse) to the result and hand that to
+// WriteFrame: header and payload then share the caller's one reusable
+// buffer and leave in one Write.
+func BeginFrame(buf []byte) []byte {
+	return append(buf[:0], make([]byte, FrameHeaderLen)...)
+}
+
+// WriteFrame fills in the header BeginFrame reserved and writes the whole
+// frame in one call. Callers that need the payload size before committing
+// to the write — e.g. to fail one oversized request without poisoning a
+// pipelined connection — check len(frame)-FrameHeaderLen first.
+func WriteFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - FrameHeaderLen
 	if uint64(n) > maxEncodable {
 		return ErrFrameTooLarge
 	}
-	binary.BigEndian.PutUint32(buf[:lenSize], uint32(n))
-	_, err := w.Write(buf)
-	return err
-}
-
-// WriteFrame frames and writes an already-encoded payload (the output of
-// AppendRequest or AppendResponse). Callers that need the payload size
-// before committing to the write — e.g. to fail one oversized request
-// without poisoning a pipelined connection — encode first and use this.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if uint64(len(payload)) > maxEncodable {
-		return ErrFrameTooLarge
-	}
-	var hdr [lenSize]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(frame[:FrameHeaderLen], uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -531,7 +553,7 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if max <= 0 {
 		max = MaxFrame
 	}
-	var hdr [lenSize]byte
+	var hdr [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -569,14 +591,19 @@ func ReadResponse(r io.Reader, max int) (*Response, error) {
 
 // FrameReader reads frames from one connection into a reusable payload
 // buffer, so a long-lived connection stops paying one allocation per frame
-// (ReadFrame allocates a fresh payload each call). Safe because the
-// decoders copy every string they hand out; the buffer is overwritten by
-// the next Read call. A FrameReader is not safe for concurrent use — it
-// belongs to the single goroutine draining a connection.
+// (ReadFrame allocates a fresh payload each call). Safe because a decoder
+// never hands out a string that aliases its input: views point into the
+// arena it copied from the buffer before returning, and the buffer is only
+// overwritten by the next Read call. A FrameReader is not safe for
+// concurrent use — it belongs to the single goroutine draining a
+// connection.
 type FrameReader struct {
 	r   io.Reader
 	max int
 	buf []byte
+	// hdr lives here, not on ReadFrame's stack: handing a local to r moves
+	// it to the heap, once per frame.
+	hdr [FrameHeaderLen]byte
 }
 
 // NewFrameReader wraps r with frame limit max (MaxFrame if max <= 0). The
@@ -591,11 +618,10 @@ func NewFrameReader(r io.Reader, max int) *FrameReader {
 // ReadFrame reads one frame's payload into the shared buffer. The returned
 // slice is valid only until the next call on this FrameReader.
 func (fr *FrameReader) ReadFrame() ([]byte, error) {
-	var hdr [lenSize]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n > fr.max {
 		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, fr.max)
 	}
@@ -650,6 +676,10 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
+	// arena is the one copy of b that string hands out views of, made at
+	// the first non-empty string so a frame without strings (BeginTxn and
+	// its answer) copies nothing.
+	arena string
 }
 
 func (d *decoder) fail(err error) {
@@ -709,14 +739,35 @@ func (d *decoder) count() int {
 	return int(v)
 }
 
-func (d *decoder) string() string {
+// span reads a length prefix and steps over the bytes it covers, returning
+// their bounds in b.
+func (d *decoder) span() (start, end int) {
 	n := d.count()
 	if d.err != nil {
+		return 0, 0
+	}
+	start = d.off
+	d.off += n
+	return start, d.off
+}
+
+// string decodes a string as a view into the frame's arena.
+func (d *decoder) string() string {
+	start, end := d.span()
+	if start == end {
 		return ""
 	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
+	if d.arena == "" {
+		d.arena = string(d.b)
+	}
+	return d.arena[start:end]
+}
+
+// owned decodes a string as a copy of its own, for what is decoded in
+// order to be retained.
+func (d *decoder) owned() string {
+	start, end := d.span()
+	return string(d.b[start:end])
 }
 
 // finish returns the latched error, or ErrBadMessage if bytes remain.

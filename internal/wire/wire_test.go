@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -408,6 +409,67 @@ func BenchmarkFrameReaderRequest(b *testing.B) {
 			if _, err := fr.ReadRequest(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// TestRetentionDecodeSurvivesBufferReuse is the FrameReader reuse case as a
+// property: a decoded message hands out views into an arena, and that
+// arena must be the decoder's own copy — overwriting the payload buffer
+// after the decode (which is what the next frame on the connection does)
+// may not change a single decoded string.
+func TestRetentionDecodeSurvivesBufferReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	str := func(max int) string {
+		b := make([]byte, rng.Intn(max+1))
+		rng.Read(b)
+		return string(b)
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] ^= 0xA5
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		req := &Request{
+			ID: rng.Uint64(), Op: Op(1 + rng.Intn(int(OpView))), TxnID: rng.Uint64(),
+			Key: str(24), Value: str(64),
+			TMin: rng.Int63() - rng.Int63(), Seq: rng.Uint64(), Epoch: rng.Uint64(),
+		}
+		for n := rng.Intn(14); n > 0; n-- { // past the box's inline arrays too
+			req.Keys = append(req.Keys, str(24))
+		}
+		for n := rng.Intn(12); n > 0; n-- {
+			req.KVs = append(req.KVs, KV{Key: str(24), Value: str(64)})
+		}
+		payload := AppendRequest(nil, req)
+		got, err := DecodeRequest(payload)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		scribble(payload)
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("request %d changed when its payload buffer was overwritten:\n got %+v\nwant %+v", i, got, req)
+		}
+
+		resp := &Response{
+			ID: rng.Uint64(), Op: Op(1 + rng.Intn(int(OpView))), OK: rng.Intn(2) == 0,
+			Err: str(16), TxnID: rng.Uint64(), Value: str(64), Version: rng.Int63(),
+			Follower: rng.Intn(2) == 0, Empty: rng.Intn(2) == 0,
+			Seq: rng.Uint64(), Epoch: rng.Uint64(),
+		}
+		for n := rng.Intn(14); n > 0; n-- {
+			resp.KVs = append(resp.KVs, KV{Key: str(24), Value: str(64)})
+			resp.Vers = append(resp.Vers, rng.Int63())
+		}
+		payload = AppendResponse(payload[:0], resp) // the same buffer again, like a FrameReader
+		gotResp, err := DecodeResponse(payload)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		scribble(payload)
+		if !reflect.DeepEqual(gotResp, resp) {
+			t.Fatalf("response %d changed when its payload buffer was overwritten:\n got %+v\nwant %+v", i, gotResp, resp)
 		}
 	}
 }

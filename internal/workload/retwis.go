@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 )
 
 // TxnKind is a Retwis transaction type.
@@ -65,13 +66,16 @@ func (r *Retwis) distinctKeys(rng *rand.Rand, n int) []string {
 		n = int(max)
 	}
 	out := make([]string, 0, n)
-	seen := make(map[uint64]bool, n)
+	// A transaction has at most ten keys: scanning the ranks already drawn
+	// beats building a set of them.
+	var drawn [16]uint64
+	ranks := drawn[:0]
 	for len(out) < n {
 		k := r.keys.Next(rng)
-		if seen[k] {
+		if slices.Contains(ranks, k) {
 			continue
 		}
-		seen[k] = true
+		ranks = append(ranks, k)
 		out = append(out, KeyName(k))
 	}
 	return out

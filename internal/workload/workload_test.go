@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -268,5 +270,44 @@ func TestPartlyOpenPanics(t *testing.T) {
 func TestKeyName(t *testing.T) {
 	if KeyName(42) != "key00000042" {
 		t.Errorf("KeyName(42) = %q", KeyName(42))
+	}
+}
+
+// TestKeyNameMatchesFmt: KeyName builds "key%08d" by hand and must stay
+// byte-identical to the format it replaced — every stored key and every
+// recorded history depends on it.
+func TestKeyNameMatchesFmt(t *testing.T) {
+	check := func(k uint64) {
+		if got, want := KeyName(k), fmt.Sprintf("key%08d", k); got != want {
+			t.Fatalf("KeyName(%d) = %q, want %q", k, got, want)
+		}
+	}
+	for _, k := range []uint64{0, 9, 99_999_999, 100_000_000, math.MaxUint64} {
+		check(k)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 10_000; i++ {
+		check(rng.Uint64() >> uint(rng.Intn(64))) // every magnitude, not just 19-digit ones
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = KeyName(12345) }); n > 1 {
+		t.Errorf("KeyName allocates %.0f objects, want 1 (the result)", n)
+	}
+}
+
+// TestRetwisStreamUnchanged: the generated transaction stream for a fixed
+// seed is part of every benchmark's definition. The hash below was taken at
+// the commit before distinctKeys stopped using a map and KeyName stopped
+// using fmt; neither change may move a single key.
+func TestRetwisStreamUnchanged(t *testing.T) {
+	const golden = uint64(0x8b3985d4deb7e83)
+	gen := NewRetwis(Scrambled(NewZipf(250_000, 0.75)))
+	rng := rand.New(rand.NewSource(1_000_003))
+	h := fnv.New64a()
+	for i := 0; i < 5000; i++ {
+		txn := gen.Next(rng)
+		fmt.Fprintf(h, "%d r%q w%q\n", txn.Kind, txn.ReadKeys, txn.WriteKeys)
+	}
+	if got := h.Sum64(); got != golden {
+		t.Errorf("first 5000 Retwis transactions hash to %#x, want %#x: the stream changed", got, golden)
 	}
 }

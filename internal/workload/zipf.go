@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Zipf draws ranks in [0, n) with P(rank=k) ∝ 1/(k+1)^theta for
@@ -137,5 +138,17 @@ type zipfScrambled struct{ z *Zipf }
 func (s zipfScrambled) Next(rng *rand.Rand) uint64 { return s.z.NextScrambled(rng) }
 func (s zipfScrambled) N() uint64                  { return s.z.n }
 
-// KeyName formats rank k as the canonical database key string.
-func KeyName(k uint64) string { return fmt.Sprintf("key%08d", k) }
+// KeyName formats rank k as the canonical database key string, "key%08d".
+// Built by hand because every generated transaction pays for it per key:
+// fmt boxes its argument and formats through a pooled printer, this is one
+// allocation, the result.
+func KeyName(k uint64) string {
+	var digits [20]byte // len(strconv.Itoa(math.MaxUint64)) == 20
+	d := strconv.AppendUint(digits[:0], k, 10)
+	var buf [len("key") + len(digits)]byte
+	b := append(buf[:0], "key"...)
+	for i := len(d); i < 8; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
