@@ -27,15 +27,39 @@ type Version struct {
 // takes more than cloning on insert: the map is written once per key, with
 // a clone, and holds only the chain's position; every later write goes
 // through chains and never touches the map's keys again.
+//
+// The store is bounded by its floor, a timestamp its owner raises with
+// Advance once it knows that no read anyone will use executes below it. A
+// read at or above the floor needs, of the versions at or below the floor,
+// only the newest; Write drops the others from the chain it touches. So
+// after any Write a chain holds at most one version at or below the floor,
+// nothing sweeps, and a key nobody writes keeps what it had: at most one
+// superseded version until its next write. ReadAt below the floor returns
+// whatever is left, which may be the wrong version or none — keeping reads
+// at or above the floor is the owner's side of the contract.
 type Store struct {
 	index  map[string]int // key (the store's own copy) -> position in chains
 	chains [][]Version
+	floor  truetime.Timestamp
+	n      int // versions held, over all chains
 }
 
 // New returns an empty store.
 func New() *Store {
 	return &Store{index: make(map[string]int)}
 }
+
+// Advance raises the floor; a value at or below the current one is ignored,
+// so the floor never regresses. Nothing is dropped here: each chain is
+// trimmed by its next Write.
+func (s *Store) Advance(floor truetime.Timestamp) {
+	if floor > s.floor {
+		s.floor = floor
+	}
+}
+
+// Len returns the number of versions held, over all keys.
+func (s *Store) Len() int { return s.n }
 
 // chain returns key's versions (nil if unwritten).
 func (s *Store) chain(key string) []Version {
@@ -50,6 +74,12 @@ func (s *Store) chain(key string) []Version {
 // transactions), but arrival order may differ from timestamp order when a
 // skipped transaction commits late, so Write inserts in timestamp order.
 // The store keeps value as given and a copy of key.
+//
+// The chain is trimmed to the floor on the way: before the insert, so the
+// slot a dropped version frees is the one the new version takes and a key
+// that is rewritten stays in the array it has; and after an insert at or
+// below the floor, which either supersedes its predecessors or is itself
+// superseded on arrival.
 func (s *Store) Write(key, value string, ts truetime.Timestamp) {
 	c, ok := s.index[key]
 	if !ok {
@@ -57,16 +87,38 @@ func (s *Store) Write(key, value string, ts truetime.Timestamp) {
 		s.chains = append(s.chains, nil)
 		s.index[strings.Clone(key)] = c
 	}
-	vs := s.chains[c]
+	vs := s.trim(s.chains[c])
 	i := sort.Search(len(vs), func(i int) bool { return vs[i].TS >= ts })
 	if i < len(vs) && vs[i].TS == ts {
 		vs[i].Value = value // idempotent re-apply
+		s.chains[c] = vs
 		return
 	}
 	vs = append(vs, Version{})
 	copy(vs[i+1:], vs[i:])
 	vs[i] = Version{TS: ts, Value: value}
+	s.n++
+	if ts <= s.floor {
+		vs = s.trim(vs)
+	}
 	s.chains[c] = vs
+}
+
+// trim drops, in place, every version of one chain older than the newest
+// one at or below the floor, and clears the slots they leave behind the
+// chain's end so their values are released.
+func (s *Store) trim(vs []Version) []Version {
+	if len(vs) < 2 || vs[1].TS > s.floor {
+		return vs // the only comparison most writes pay
+	}
+	cut := 1
+	for cut+1 < len(vs) && vs[cut+1].TS <= s.floor {
+		cut++
+	}
+	n := copy(vs, vs[cut:])
+	clear(vs[n:])
+	s.n -= cut
+	return vs[:n]
 }
 
 // ReadAt returns the latest version of key with TS ≤ ts. The zero Version
@@ -111,30 +163,17 @@ func (s *Store) MaxTSAll() truetime.Timestamp {
 // Versions returns the number of versions of key (testing).
 func (s *Store) Versions(key string) int { return len(s.chain(key)) }
 
-// Dump visits every version of every key in timestamp order per key (key
-// order unspecified) — the full-state walk behind replication catch-up
-// snapshots: installing every version into a fresh store reproduces this
-// store exactly, so replaying the log suffix after the snapshot's cut
-// point re-derives everything later. The store must not be mutated during
+// Dump visits every version held of every key, Len calls in all, in
+// timestamp order per key (key order unspecified) — the full-state walk
+// behind replication catch-up snapshots and checkpoints: installing every
+// version into a fresh store reproduces this store's reads at or above its
+// floor, so replaying the log suffix after the snapshot's cut point
+// re-derives everything later. The store must not be mutated during
 // the walk (callers run it on the owning loop).
 func (s *Store) Dump(fn func(key string, v Version)) {
 	for k, c := range s.index {
 		for _, v := range s.chains[c] {
 			fn(k, v)
-		}
-	}
-}
-
-// GC drops all but the newest version with TS ≤ floor for every key,
-// bounding memory in long experiments while preserving reads at or above
-// floor.
-func (s *Store) GC(floor truetime.Timestamp) {
-	for c, vs := range s.chains {
-		i := sort.Search(len(vs), func(i int) bool { return vs[i].TS > floor })
-		if i > 1 {
-			kept := make([]Version, len(vs)-i+1)
-			copy(kept, vs[i-1:])
-			s.chains[c] = kept
 		}
 	}
 }

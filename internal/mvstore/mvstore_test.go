@@ -72,20 +72,101 @@ func TestLatestAndMaxTS(t *testing.T) {
 	}
 }
 
-func TestGC(t *testing.T) {
+// TestWriteTrimsToFloor: versions older than the newest one at or below the
+// floor go at the chain's next write, not before; reads at or above the
+// floor are unchanged, and the newest version survives any floor.
+func TestWriteTrimsToFloor(t *testing.T) {
 	s := New()
 	for i := int64(1); i <= 10; i++ {
 		s.Write("k", "v", truetimeTS(i*10))
 	}
-	s.GC(55)
-	if s.Versions("k") != 6 { // version at 50 plus 60..100
-		t.Errorf("after GC: %d versions", s.Versions("k"))
+	s.Advance(55)
+	if s.Versions("k") != 10 || s.Len() != 10 {
+		t.Errorf("Advance alone dropped versions: %d in the chain, Len %d", s.Versions("k"), s.Len())
+	}
+	s.Write("k", "v", 110)
+	if s.Versions("k") != 7 || s.Len() != 7 { // version at 50 plus 60..110
+		t.Errorf("after the write: %d versions, Len %d, want 7", s.Versions("k"), s.Len())
 	}
 	if v := s.ReadAt("k", 55); v.TS != 50 {
-		t.Errorf("ReadAt(55) after GC = %+v", v)
+		t.Errorf("ReadAt(55) after trim = %+v", v)
 	}
-	if v := s.ReadAt("k", 1000); v.TS != 100 {
-		t.Errorf("ReadAt(1000) after GC = %+v", v)
+	s.Advance(40) // a floor never regresses
+	s.Advance(1000)
+	s.Write("k", "late", 45) // superseded on arrival
+	if s.Versions("k") != 1 || s.Len() != 1 {
+		t.Errorf("floor above every version: %d versions, Len %d, want the newest only", s.Versions("k"), s.Len())
+	}
+	if v := s.ReadAt("k", 1000); v.TS != 110 {
+		t.Errorf("ReadAt(1000) = %+v, want the version at 110", v)
+	}
+}
+
+// TestTrimQuick is the store's side of the floor contract, against an
+// oracle store whose floor never moves: under random writes in random order
+// (below the floor too, as a late two-phase commit lands) interleaved with
+// random Advance calls, every read at or above the floor, Latest, MaxTS and
+// MaxTSAll agree with the oracle; the chain just written holds at most one
+// version at or below the floor; Len counts what Dump visits; and a store
+// rebuilt from the dump answers reads at or above the floor the same.
+func TestTrimQuick(t *testing.T) {
+	keys := []string{"a", "b", "c"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s, oracle := New(), New()
+		var floor truetime.Timestamp
+		agree := func(got *Store) bool {
+			for _, k := range keys {
+				for probe := floor; probe < floor+300; probe += 17 {
+					if got.ReadAt(k, probe) != oracle.ReadAt(k, probe) {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		for step := 0; step < 300; step++ {
+			if rng.Intn(4) == 0 {
+				to := floor + truetime.Timestamp(rng.Int63n(60)) - 10 // sometimes backwards: ignored
+				s.Advance(to)
+				if to > floor {
+					floor = to
+				}
+				continue
+			}
+			k := keys[rng.Intn(len(keys))]
+			ts := floor + truetime.Timestamp(rng.Int63n(200)) - 80
+			if ts < 1 {
+				ts = 1
+			}
+			v := fmt.Sprintf("%s@%d", k, ts)
+			s.Write(k, v, ts)
+			oracle.Write(k, v, ts)
+			atOrBelow := 0
+			for _, ver := range s.chain(k) {
+				if ver.TS <= floor {
+					atOrBelow++
+				}
+			}
+			if atOrBelow > 1 {
+				return false
+			}
+			if s.Latest(k) != oracle.Latest(k) || s.MaxTS(k) != oracle.MaxTS(k) || s.MaxTSAll() != oracle.MaxTSAll() {
+				return false
+			}
+			if !agree(s) {
+				return false
+			}
+		}
+		rebuilt, visited := New(), 0
+		s.Dump(func(key string, v Version) {
+			visited++
+			rebuilt.Write(key, v.Value, v.TS)
+		})
+		return visited == s.Len() && rebuilt.Len() == s.Len() && agree(rebuilt)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -217,6 +298,15 @@ func TestDumpReproducesStore(t *testing.T) {
 	}
 }
 
+// liveHeap returns the heap in use once everything unreachable is collected.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
 // TestRetentionWriteOwnsKey: the keys Write is handed are views into a
 // decoded frame (package wire), and the store must not keep the frame alive
 // through them — neither when it inserts a key nor when it writes a key it
@@ -229,13 +319,6 @@ func TestRetentionWriteOwnsKey(t *testing.T) {
 		keys  = 64
 		frame = 256 << 10 // what each key is a view into
 	)
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
 	view := func(i int) string {
 		big := strings.Repeat("x", frame) + fmt.Sprintf("key%08d", i)
 		return big[frame:]

@@ -15,8 +15,10 @@
 //     retention cap and the min acked position), so a pull below the
 //     suffix answers ErrMsgSnapshotRequired;
 //   - snapshot catch-up: the follower then fetches a consistent copy of
-//     the shard store (every version of every key, cut on the shard apply
-//     loop at log position S with safe-time watermark W), installs it, and
+//     the shard store (every version it holds of every key — all that a
+//     read at or above the leader's read floor can return, see Entry.Floor
+//     — cut on the shard apply loop at log position S with safe-time
+//     watermark W), installs it, and
 //     resumes pulling the suffix after S. Replay after a full-state
 //     snapshot is exactly correct: the store equals the leader's at S, and
 //     entries S+1… re-derive everything later.
@@ -58,6 +60,11 @@ const (
 	readPark = 100 * time.Millisecond
 )
 
+// errMsgBelowFloor is the Err of an OpReplRead the node refused because the
+// read arrived below the shard replica's read floor (replica.serve). The
+// leader's SockTransport counts it when the answer still finds it waiting.
+const errMsgBelowFloor = "read below the replica's floor"
+
 // ServePull answers one OpReplEntry request from the group's retained log,
 // long-polling up to PullWait when the follower is caught up. shards is
 // the leader's shard count, echoed in every response's TxnID so a joining
@@ -82,7 +89,8 @@ func (g *Group) ServePull(req *wire.Request, shards int) *wire.Response {
 	for i, e := range es {
 		wes[i] = wire.ReplEntry{
 			Seq: e.Seq, Kind: uint8(e.Kind), TxnID: e.TxnID,
-			TS: int64(e.TS), Watermark: int64(e.Watermark), Epoch: e.Epoch, Writes: e.Writes,
+			TS: int64(e.TS), Watermark: int64(e.Watermark), Floor: int64(e.Floor),
+			Epoch: e.Epoch, Writes: e.Writes,
 		}
 	}
 	resp.Value = string(wire.AppendReplEntries(nil, wes))
@@ -534,7 +542,7 @@ func (n *Node) puller(shard int) {
 			batch = append(batch, Entry{
 				Seq: we.Seq, Kind: EntryKind(we.Kind), TxnID: we.TxnID,
 				TS: truetime.Timestamp(we.TS), Watermark: truetime.Timestamp(we.Watermark),
-				Epoch: we.Epoch, Writes: we.Writes,
+				Floor: truetime.Timestamp(we.Floor), Epoch: we.Epoch, Writes: we.Writes,
 			})
 			last = we.Seq
 		}
@@ -849,11 +857,15 @@ func (n *Node) handleReadConn(nc net.Conn) {
 		go func(req *wire.Request) {
 			defer pending.Done()
 			start := time.Now()
-			vals, ok, _ := n.reps[shard].Read(truetime.Timestamp(req.TMin), req.Keys, n.cfg.ReadPark)
+			vals, ok, _, belowFloor := n.reps[shard].Read(truetime.Timestamp(req.TMin), req.Keys, n.cfg.ReadPark)
 			n.readDur.ObserveSince(start)
 			if !ok {
 				n.readFails.Inc()
-				cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: "replica cannot serve"})
+				msg := "replica cannot serve"
+				if belowFloor {
+					msg = errMsgBelowFloor
+				}
+				cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: msg})
 				return
 			}
 			n.reads.Inc()

@@ -32,6 +32,9 @@ type readRequest struct {
 type readReply struct {
 	vals []Val
 	ok   bool
+	// belowFloor marks a refusal: the read arrived below the replica's read
+	// floor (see serve).
+	belowFloor bool
 }
 
 // replica is the follower state machine shared by every transport: a
@@ -55,6 +58,10 @@ type replica struct {
 	applied    atomic.Int64
 	appliedSeq atomic.Uint64
 	parked     []readRequest // reads waiting for applied ≥ tread
+	// floor is the newest Entry.Floor applied, which the store has been
+	// advanced to: the leader's word that no read it still waits for
+	// executes below it.
+	floor truetime.Timestamp
 
 	// acked is the watermark this replica has acknowledged toward the
 	// leader — its advertised t_safe. It trails applied by one ack hop
@@ -205,11 +212,12 @@ func (r *replica) drainParked() {
 	r.parked = nil
 }
 
-// apply installs one entry. Entries arrive in log order; the watermark is
-// clamped monotone anyway so a replayed prefix cannot regress t_safe.
-// Entries stamped with an epoch below the fence floor are dropped whole —
-// neither their writes nor their watermark claims are trusted, because
-// they come from a leader deposed out of the view this replica serves.
+// apply installs one entry. Entries arrive in log order; the watermark and
+// the read floor are clamped monotone anyway so a replayed prefix can
+// regress neither. Entries stamped with an epoch below the fence floor are
+// dropped whole — neither their writes nor their watermark and floor claims
+// are trusted, because they come from a leader deposed out of the view this
+// replica serves.
 func (r *replica) apply(e Entry) {
 	if e.Epoch != 0 {
 		if floor := r.epochFloor.Load(); e.Epoch < floor {
@@ -217,6 +225,13 @@ func (r *replica) apply(e Entry) {
 			return
 		}
 		r.raiseEpochFloor(e.Epoch)
+	}
+	if e.Floor > r.floor {
+		// Before the writes, so they trim to it: the floor says which reads
+		// are still wanted, not which commits have arrived, and holds from
+		// the moment the leader computed it.
+		r.floor = e.Floor
+		r.store.Advance(e.Floor)
 	}
 	if e.Kind == EntryCommit {
 		for _, kv := range e.Writes {
@@ -242,6 +257,7 @@ func (r *replica) install(vals []Val, seq uint64, w truetime.Timestamp) {
 		for _, v := range vals {
 			st.Write(v.Key, v.Value, v.TS)
 		}
+		st.Advance(r.floor) // the replica's floor outlives the store it replaces
 		r.store = st
 		if int64(w) > r.applied.Load() {
 			r.applied.Store(int64(w))
@@ -287,6 +303,16 @@ func (r *replica) serveOrPark(req readRequest) {
 }
 
 func (r *replica) serve(req readRequest) {
+	if req.tread < r.floor {
+		// The leader registers every read before routing it and ships only
+		// floors at or below the oldest one in flight, so a read it still
+		// waits for never arrives below the floor; one it has given up on
+		// may. Either way the read is refused, not served from a store that
+		// may have dropped its version, and the caller — if there still is
+		// one — is told why, falls back to the leader's store, and counts it.
+		req.reply <- readReply{belowFloor: true}
+		return
+	}
 	vals := make([]Val, 0, len(req.keys))
 	for _, k := range req.keys {
 		v := r.store.ReadAt(k, req.tread)
@@ -361,24 +387,25 @@ func (r *replica) extract(copyStore bool) (st *mvstore.Store, seq uint64, wm tru
 // lock table, prepared set, or blocking rule is consulted. abandoned is
 // true when the request was handed over but no reply arrived in time: the
 // replica may still be holding keys, so the caller must not reuse that
-// slice's backing array.
-func (r *replica) Read(tread truetime.Timestamp, keys []string, timeout time.Duration) (vals []Val, ok, abandoned bool) {
+// slice's backing array. belowFloor is true when the replica refused the
+// read, within the timeout, because it arrived below its read floor.
+func (r *replica) Read(tread truetime.Timestamp, keys []string, timeout time.Duration) (vals []Val, ok, abandoned, belowFloor bool) {
 	if !r.alive.Load() {
-		return nil, false, false
+		return nil, false, false, false
 	}
 	req := readRequest{tread: tread, keys: keys, reply: make(chan readReply, 1)}
 	select {
 	case r.reads <- req:
 	default:
-		return nil, false, false // read queue full (or loop gone): refuse
+		return nil, false, false, false // read queue full (or loop gone): refuse
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case rep := <-req.reply:
-		return rep.vals, rep.ok, false
+		return rep.vals, rep.ok, false, rep.belowFloor
 	case <-timer.C:
-		return nil, false, true // the late reply lands in the buffered channel
+		return nil, false, true, false // the late reply lands in the buffered channel
 	}
 }
 
@@ -394,6 +421,10 @@ func (r *replica) TSafe() truetime.Timestamp {
 // -replicas=N shard group.
 type ChanTransport struct {
 	r *replica
+	// belowFloor is the count, owned by the group the transport is attached
+	// to (set by Attach), of reads the replica refused while the leader
+	// still waited for them, for arriving below its read floor.
+	belowFloor *atomic.Int64
 	// detached is set once the leader stops replicating to this follower
 	// (transport overflow or group close); the entry channel is closed at
 	// most once under it.
@@ -431,7 +462,11 @@ func (t *ChanTransport) Pull() bool { return false }
 
 // Read serves a snapshot read at the in-process replica.
 func (t *ChanTransport) Read(tread truetime.Timestamp, keys []string, timeout time.Duration) ([]Val, bool, bool) {
-	return t.r.Read(tread, keys, timeout)
+	vals, ok, abandoned, belowFloor := t.r.Read(tread, keys, timeout)
+	if belowFloor {
+		t.belowFloor.Add(1)
+	}
+	return vals, ok, abandoned
 }
 
 // Acked returns the replica's advertised t_safe (what the router sees).

@@ -44,6 +44,11 @@ type Group struct {
 	keepLog    bool // retain the log (up to the cap) even with no pull replicas
 	epoch      uint64
 
+	// belowFloor counts the reads a follower of either transport refused,
+	// while the leader still waited for them, because they arrived below
+	// the follower's read floor (replica.serve).
+	belowFloor atomic.Int64
+
 	// active mirrors len(transports) > 0 so hot paths (Route, the shard
 	// replicate call sites) can skip the mutex when the group is idle.
 	active atomic.Bool
@@ -94,6 +99,15 @@ func (g *Group) Attach(t Transport) {
 	if g.closed {
 		t.Close()
 		return
+	}
+	// The two transports whose Read can hear a follower refuse a read below
+	// its floor count into the group, from before the router can offer
+	// them one.
+	switch t := t.(type) {
+	case *ChanTransport:
+		t.belowFloor = &g.belowFloor
+	case *SockTransport:
+		t.belowFloor = &g.belowFloor
 	}
 	g.transports = append(g.transports, t)
 	if t.Pull() {
@@ -203,6 +217,12 @@ func (g *Group) Fenced() bool {
 	defer g.mu.Unlock()
 	return g.fenced
 }
+
+// BelowFloor returns how many snapshot reads the group's followers have
+// refused, while the leader still waited for them, for arriving below their
+// read floor — a tripwire that stays 0 while the leader's floor is right.
+// A read the leader has given up on is refused too, but nobody counts it.
+func (g *Group) BelowFloor() int64 { return g.belowFloor.Load() }
 
 // Active reports whether any transport is attached — the cheap guard the
 // shard loops and the read router consult before paying for an entry or a

@@ -82,6 +82,14 @@ type Entry struct {
 	// that has applied through this entry may serve snapshot reads at any
 	// t_read ≤ Watermark.
 	Watermark truetime.Timestamp
+	// Floor is the leader's read floor at append: no snapshot read the
+	// leader will use executes below it, here or at a follower (the leader
+	// registers a read before routing it anywhere). A follower advances its
+	// store to it on apply and from then on keeps, of the versions at or
+	// below it, only the newest per key (mvstore.Store.Advance). Like the
+	// watermark it rides on a batch's tail entry, is zero elsewhere, and is
+	// clamped monotone at the follower.
+	Floor truetime.Timestamp
 	// Epoch is the leader's view epoch at append (Group.SetEpoch). A
 	// follower whose fence floor has moved past it drops the entry: this
 	// is the replica half of epoch fencing — a deposed leader's late
@@ -183,6 +191,10 @@ type SockTransport struct {
 	dead     atomic.Bool
 	dropAcks atomic.Bool
 	detached atomic.Bool
+	// belowFloor is the count, owned by the group the transport is attached
+	// to (set by Attach), of reads the replica refused while the leader
+	// still waited for them, for arriving below its read floor.
+	belowFloor *atomic.Int64
 }
 
 // NewSockTransport dials back to a replica's advertised read address and
@@ -265,6 +277,9 @@ func (t *SockTransport) Read(tread truetime.Timestamp, keys []string, timeout ti
 	defer timer.Stop()
 	select {
 	case r := <-ch:
+		if r.err == nil && r.resp.Err == errMsgBelowFloor {
+			t.belowFloor.Add(1)
+		}
 		if r.err != nil || !r.resp.OK || t.dead.Load() {
 			return nil, false, false
 		}

@@ -56,7 +56,8 @@ func (c *captureTransport) Read(truetime.Timestamp, []string, time.Duration) ([]
 //     order their closures were queued) with consecutive sequence numbers;
 //   - only a batch's tail entry carries a watermark (earlier entries must
 //     not — a flush-time watermark can exceed the commit timestamp of a
-//     transaction resolved later in the same batch);
+//     transaction resolved later in the same batch), and the read floor
+//     rides on the same entries and never regresses from one to the next;
 //   - the tail watermark equals the sequential watermark: with a prepare
 //     at t_p outstanding, min prepared t_p − 1, regardless of how many
 //     closures shared the drain;
@@ -108,10 +109,17 @@ func TestBatchDrainOrderingAndWatermark(t *testing.T) {
 	}
 
 	var data []replication.Entry
+	var floor truetime.Timestamp
 	for _, batch := range cap.snapshot() {
 		for i, e := range batch {
-			if i < len(batch)-1 && e.Watermark != 0 {
-				t.Fatalf("non-tail entry %d of a %d-entry batch carries watermark %d", i, len(batch), e.Watermark)
+			if i < len(batch)-1 && (e.Watermark != 0 || e.Floor != 0) {
+				t.Fatalf("non-tail entry %d of a %d-entry batch carries watermark %d, floor %d", i, len(batch), e.Watermark, e.Floor)
+			}
+			if i == len(batch)-1 {
+				if e.Floor == 0 || e.Floor < floor {
+					t.Fatalf("batch tail carries floor %d after %d", e.Floor, floor)
+				}
+				floor = e.Floor
 			}
 			if e.Kind != replication.EntryHeartbeat {
 				data = append(data, e)

@@ -48,9 +48,21 @@ func runChaosPair(t *testing.T, broken, clean Config, seed int64) (brokenErr, cl
 		if err != nil {
 			t.Fatalf("loadgen: %v", err)
 		}
+		assertNoReadBelowFloor(t, srv)
 		return history.Check(res.H, core.RSS)
 	}
 	return run(broken), run(clean)
+}
+
+// assertNoReadBelowFloor: none of these faults lowers a read's timestamp,
+// so whatever else a run breaks, no snapshot read may reach a store — the
+// leader's or an in-process follower's — below its floor: the history must
+// be rejected for the fault under test, not for a version trimmed early.
+func assertNoReadBelowFloor(t *testing.T, srv *Server) {
+	t.Helper()
+	if n := counter(srv, "ro.below_floor"); n != 0 {
+		t.Errorf("ro.below_floor = %d", n)
+	}
 }
 
 // TestChaosDelayedAppliesRejected: followers acknowledge watermarks ahead
@@ -72,6 +84,7 @@ func TestChaosDelayedAppliesRejected(t *testing.T) {
 				if err != nil {
 					t.Fatalf("loadgen: %v", err)
 				}
+				assertNoReadBelowFloor(t, srv)
 				return history.Check(res.H, core.RSS)
 			}
 			var brokenErr error

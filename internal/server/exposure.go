@@ -128,8 +128,12 @@ func (s *shard) flush() {
 		// watermark may exceed, and a follower (or pull replica) holding
 		// only a prefix ending at that earlier entry would then serve reads
 		// it cannot cover. Non-tail entries carry watermark 0, which
-		// followers' monotone clamp ignores.
-		s.replBuf[len(s.replBuf)-1].Watermark = wm
+		// followers' monotone clamp ignores. The read floor rides beside it:
+		// the value this drain advanced the store to, which no read the
+		// leader has routed or will route to a follower is below either
+		// (readFloor), so the followers' stores may follow.
+		last := &s.replBuf[len(s.replBuf)-1]
+		last.Watermark, last.Floor = wm, s.floor
 		// AppendBatch copies the entries and returns the batch's tail
 		// sequence number (0 from a fenced group).
 		if tail := s.repl.AppendBatch(s.replBuf); tail > s.replTail {

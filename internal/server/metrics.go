@@ -2,6 +2,7 @@ package server
 
 import (
 	"log"
+	"time"
 
 	"rsskv/internal/obs"
 )
@@ -21,6 +22,15 @@ import (
 //	txn.wounds          ctr   wound-wait victims across shard lock tables
 //	ro.block_wait       hist  snapshot-read park on the blocking set B
 //	ro.total            hist  whole RO coordinator
+//	ro.floor_lag_us     gauge TT.now().latest − the read floor, µs: how far
+//	                          the oldest in-flight snapshot read (or the
+//	                          configuration's read lag) holds trimming back
+//	ro.below_floor      ctr   snapshot reads that reached a store below its
+//	                          floor while their coordinator still waited —
+//	                          served at the leader, refused by a follower.
+//	                          A tripwire: 0 while the floor is right
+//	mvstore.versions    gauge versions held, summed over the shard stores
+//	mvstore.trimmed     ctr   versions dropped by writes below the floor
 //	apply.queue_depth   hist  shard apply channel depth at dequeue (count)
 //	apply.batch_size    hist  closures per apply-loop drain (count)
 //	repl.append_batch   hist  entries per replication AppendBatch (count)
@@ -71,6 +81,8 @@ type serverMetrics struct {
 	ckptDur       *obs.Histogram
 	admitWait     *obs.Histogram
 
+	belowFloor obs.Counter // leader-served reads below the shard's floor
+
 	slow *obs.SlowLog
 }
 
@@ -119,6 +131,32 @@ func newServerMetrics(srv *Server) *serverMetrics {
 	r.CounterFunc("ro.fallback", st.ROFallback.Load)
 	r.CounterFunc("replica.joins", st.ReplicaJoins.Load)
 	r.CounterFunc("repl.snapshots", st.ReplSnapshots.Load)
+	r.Gauge("ro.floor_lag_us", func() int64 {
+		return int64(srv.clock.Since(srv.reads.floor()) / time.Microsecond)
+	})
+	r.CounterFunc("ro.below_floor", func() int64 {
+		n := m.belowFloor.Load()
+		for _, s := range srv.shards {
+			if s.repl != nil {
+				n += s.repl.BelowFloor()
+			}
+		}
+		return n
+	})
+	r.Gauge("mvstore.versions", func() int64 {
+		var n int64
+		for _, s := range srv.shards {
+			n += s.versions.Load()
+		}
+		return n
+	})
+	r.CounterFunc("mvstore.trimmed", func() int64 {
+		var n int64
+		for _, s := range srv.shards {
+			n += s.trimmed.Load()
+		}
+		return n
+	})
 	r.CounterFunc("txn.wounds", func() int64 {
 		var n int64
 		for _, s := range srv.shards {

@@ -7,7 +7,6 @@ import (
 	"rsskv/internal/replication"
 	"rsskv/internal/truetime"
 	"rsskv/internal/wal"
-	"rsskv/internal/wire"
 )
 
 // Follower promotion: a replica that has been declared the new leader of a
@@ -105,9 +104,7 @@ func (srv *Server) installSeed(seed []PromotedShard) error {
 			Watermark: int64(s.maxTS),
 			Seq:       ps.NextSeq,
 		}
-		s.store.Dump(func(key string, v mvstore.Version) {
-			cp.Vals = append(cp.Vals, wire.ReplVal{Key: key, Value: v.Value, TS: int64(v.TS)})
-		})
+		cp.Vals = s.dump()
 		if _, err := l.WriteCheckpoint(cp); err != nil {
 			return fmt.Errorf("server: promote shard %d: checkpoint: %w", i, err)
 		}

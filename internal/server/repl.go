@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"rsskv/internal/mvstore"
 	"rsskv/internal/replication"
 	"rsskv/internal/truetime"
 	"rsskv/internal/wire"
@@ -183,8 +182,10 @@ func (srv *Server) replAck(req *wire.Request, cw *connWriter) {
 // cut on the shard apply loop — the full multi-version store, the log
 // position it reflects, and the safe-time watermark, all taken in one
 // loop closure so replaying entries after the position re-derives
-// everything later. Shipping every version (not just the newest) is what
-// keeps historical reads at the follower exact after a snapshot install.
+// everything later. Shipping every version the store holds (not just the
+// newest) is what keeps reads at the follower exact after a snapshot
+// install, at every timestamp a read can still have: at or above the
+// leader's read floor.
 func (srv *Server) replSnapshot(req *wire.Request, cw *connWriter) {
 	s, ok := srv.replShard(req, cw)
 	if !ok {
@@ -207,13 +208,7 @@ func (srv *Server) replSnapshot(req *wire.Request, cw *connWriter) {
 		// The whole flush, sync included, so the cut never hands a replica
 		// state the leader hasn't made durable yet.
 		s.flush()
-		var cut snapCut
-		s.store.Dump(func(key string, v mvstore.Version) {
-			cut.vals = append(cut.vals, wire.ReplVal{Key: key, Value: v.Value, TS: int64(v.TS)})
-		})
-		cut.seq = s.repl.NextSeq()
-		cut.w = s.safeWatermark()
-		ch <- cut
+		ch <- snapCut{vals: s.dump(), seq: s.repl.NextSeq(), w: s.safeWatermark()}
 	})
 	if !submitted {
 		cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: errClosed.Error()})

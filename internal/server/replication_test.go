@@ -134,6 +134,7 @@ func TestFollowerReadsServeAndStayRSS(t *testing.T) {
 			if err := history.Check(res.H, core.RSS); err != nil {
 				t.Errorf("history with follower reads is not RSS: %v", err)
 			}
+			assertNoReadBelowFloor(t, srv) // leader and followers, either transport
 		})
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"rsskv/internal/obs"
@@ -44,6 +45,103 @@ import (
 // (3) of RSS. Preparers skipped under the B-rule are exactly those that
 // cannot have completed yet and are not causally required, which is what
 // lets the read return without waiting out concurrent two-phase commits.
+
+// readFloor is the server-wide registry of in-flight snapshot reads, and so
+// the source of the floor every store of the fleet is trimmed to (mvstore.
+// Store.Advance): no snapshot read whose result anyone will use executes
+// against a store, the leader's or a follower's, below floor().
+//
+// A read enters before it has a timestamp: enter reads the clock and links
+// the read's pin, at that reading less lag, in one critical section, and
+// every path of readOnly then chooses a t_read at or above its pin. Pins
+// are therefore non-decreasing in list order, the oldest in-flight read is
+// the head, and enter, leave and floor are O(1) and allocate nothing (the
+// pin lives in the read's pooled scratch). The floor is the head's pin or,
+// with nothing in flight, what a read entering now would be pinned at —
+// computed under the same lock, so a read is either in the list when a
+// floor is computed or enters later and is pinned at or above it. A floor
+// once computed thus stays below every read that is or will be in flight,
+// which is what lets a shard use one for a whole drain and ship it to
+// followers that apply it later still.
+//
+// leave is called when the read has responded or has been abandoned.
+// Portions of an abandoned read may still execute (a waiter parked on a
+// closing shard, a replica read the leader timed out on); their results
+// are discarded, so they may read anything.
+type readFloor struct {
+	clock *truetime.WallClock
+	// lag is how far below TT.now().latest this configuration can choose a
+	// t_read: 0 in production, the largest of the lags the ablation and
+	// chaos modes read at otherwise (readLag). Fixed at Open.
+	lag truetime.Timestamp
+
+	mu         sync.Mutex
+	head, tail *readPin // in-flight reads, oldest first
+}
+
+// readPin is one in-flight read's entry in the registry: a lower bound on
+// its t_read.
+type readPin struct {
+	ts         truetime.Timestamp
+	prev, next *readPin
+}
+
+// readLag is the largest amount by which cfg lets readOnly choose a t_read
+// below TT.now().latest.
+func readLag(cfg *Config) time.Duration {
+	lag := cfg.POReadLag
+	if cfg.ChaosStaleReads && chaosStaleness > lag {
+		lag = chaosStaleness
+	}
+	if cfg.ChaosLostCommitWait && 2*cfg.Epsilon > lag {
+		lag = 2 * cfg.Epsilon // TT.now().earliest
+	}
+	return lag
+}
+
+// enter registers a read and returns the clock reading its t_read must be
+// chosen from: at or above now.Latest − lag.
+func (f *readFloor) enter(p *readPin) truetime.Interval {
+	f.mu.Lock()
+	now := f.clock.Now()
+	p.ts = now.Latest - f.lag
+	p.prev, p.next = f.tail, nil
+	if f.tail != nil {
+		f.tail.next = p
+	} else {
+		f.head = p
+	}
+	f.tail = p
+	f.mu.Unlock()
+	return now
+}
+
+// leave removes a read entered with enter, exactly once.
+func (f *readFloor) leave(p *readPin) {
+	f.mu.Lock()
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		f.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		f.tail = p.prev
+	}
+	p.prev, p.next = nil, nil
+	f.mu.Unlock()
+}
+
+// floor returns a timestamp no in-flight or future read executes below.
+func (f *readFloor) floor() truetime.Timestamp {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.head != nil {
+		return f.head.ts
+	}
+	return f.clock.Now().Latest - f.lag
+}
 
 // chaosStaleness is how far -chaos=stale-reads lowers t_read below the
 // present. Any conflicting write that completed within this window before
@@ -156,6 +254,7 @@ type roScratch struct {
 	reply    chan roShardReply
 	join     exposureJoin // one release per leader-served portion
 	trace    obs.Trace    // per-stage timeline for the slow-op log
+	pin      readPin      // the read's registration while it is in flight
 }
 
 func (srv *Server) newROScratch() *roScratch {
@@ -256,6 +355,11 @@ func (s *shard) roReply(w *roWaiter) {
 	if !w.parkedAt.IsZero() {
 		s.srv.metrics.roBlockWait.ObserveSince(w.parkedAt)
 	}
+	if w.tread < s.floor {
+		// Impossible for a read whose coordinator still waits (readFloor);
+		// an abandoned one's result is discarded. Counted either way.
+		s.srv.metrics.belowFloor.Inc()
+	}
 	w.vals = w.vals[:0]
 	for _, k := range w.keys {
 		v := s.store.ReadAt(k, w.tread)
@@ -305,9 +409,9 @@ func (srv *Server) followerRead(f replication.Transport, w *roWaiter) {
 	w.s.run(w.start) // refused only by a closing server; the coordinator abandons via srv.quit
 }
 
-// readOnly coordinates a snapshot read-only transaction across shards and
-// renders the response. Runs on its own goroutine per request, like the
-// 2PC coordinator.
+// readOnly serves a snapshot read-only transaction: admission, then the
+// read itself between its registration in the read floor and its removal.
+// Runs on its own goroutine per request, like the 2PC coordinator.
 func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 	// Admission before any snapshot state is touched: a rejected read
 	// draws no t_read, advances no maxTS, subscribes to no prepared
@@ -320,6 +424,23 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 		}
 		defer g.refund() // the read ran: refund its completion fraction
 	}
+	sc := srv.roPool.Get().(*roScratch)
+	now := srv.reads.enter(&sc.pin)
+	clean := srv.snapshotRead(req, cw, sc, now)
+	srv.reads.leave(&sc.pin)
+	if clean {
+		sc.release(srv)
+	}
+}
+
+// snapshotRead coordinates one registered snapshot read across shards and
+// renders the response. now is the clock reading the read was registered
+// at: every t_read chosen below is at or above now.Latest less the
+// configuration's read lag, which is what the registration promised. It
+// reports whether sc may be pooled again — false when the read was
+// abandoned with sends still pending on the scratch's channels or a
+// timed-out replica still holding its key slices.
+func (srv *Server) snapshotRead(req *wire.Request, cw *connWriter, sc *roScratch, now truetime.Interval) (clean bool) {
 	start := time.Now()
 	tmin := truetime.Timestamp(req.TMin)
 	chaos := srv.cfg.ChaosStaleReads
@@ -333,12 +454,12 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 		// misses completed writes. The session floor is ignored for the
 		// same reason a real victim's would be useless: the server
 		// already broke the only promise the floor builds on.
-		tread = srv.clock.Now().Earliest
+		tread = now.Earliest
 	case chaos:
 		// Serve an artificially stale snapshot and ignore both the
 		// session floor and the prepared set. The RSS checker must
 		// reject histories recorded against this server.
-		tread = srv.clock.Now().Latest - truetime.Timestamp(chaosStaleness)
+		tread = now.Latest - truetime.Timestamp(chaosStaleness)
 		if tread < 0 {
 			tread = 0
 		}
@@ -352,24 +473,23 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 		// deliberately dropped. The prepared-set machinery still runs at
 		// the lowered t_read: anything prepared below it is handled by the
 		// normal blocking rule.
-		now := srv.clock.Now().Latest
-		tread = now - truetime.Timestamp(srv.cfg.POReadLag)
+		tread = now.Latest - truetime.Timestamp(srv.cfg.POReadLag)
 		if tread < 0 {
 			tread = 0
 		}
 		if tmin > tread {
-			if tmin-now > truetime.Timestamp(maxTMinLead) {
+			if tmin-now.Latest > truetime.Timestamp(maxTMinLead) {
 				cw.Send(&wire.Response{
 					ID: req.ID, Op: req.Op,
-					Err: fmt.Sprintf("t_min %d implausibly far ahead of server clock %d", tmin, now),
+					Err: fmt.Sprintf("t_min %d implausibly far ahead of server clock %d", tmin, now.Latest),
 				})
-				return
+				return true
 			}
 			srv.clock.WaitUntilAfter(tmin)
 			tread = tmin
 		}
 	default:
-		tread = srv.clock.Now().Latest
+		tread = now.Latest
 		if tmin > tread {
 			// Every timestamp this server mints has passed (commit wait)
 			// before a client learns it, so a session's t_min can lead
@@ -386,7 +506,7 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 					ID: req.ID, Op: req.Op,
 					Err: fmt.Sprintf("t_min %d implausibly far ahead of server clock %d", tmin, tread),
 				})
-				return
+				return true
 			}
 			srv.clock.WaitUntilAfter(tmin)
 			tread = srv.clock.Now().Latest
@@ -395,8 +515,7 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 
 	// Fan out to shards (dedup keys, preserving first-occurrence order
 	// for the response).
-	sc := srv.roPool.Get().(*roScratch)
-	clean := true // whether sc may be pooled again
+	clean = true
 	for _, k := range req.Keys {
 		if sc.seen[k] {
 			continue
@@ -412,8 +531,7 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 	if len(sc.keys) == 0 {
 		cw.Send(&wire.Response{ID: req.ID, Op: req.Op, OK: true, Version: int64(tread)})
 		srv.stats.ROs.Add(1)
-		sc.release(srv)
-		return
+		return true
 	}
 
 	// Serve each shard's portion at a follower replica when the
@@ -438,7 +556,7 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 		}
 		if !s.run(w.start) {
 			cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: errClosed.Error()})
-			return // abandoned: pending sends may still land on sc.reply
+			return false // abandoned: pending sends may still land on sc.reply
 		}
 	}
 	followerShards := 0
@@ -460,7 +578,7 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 			sc.skipped = append(sc.skipped, r.skipped...)
 		case <-srv.quit:
 			cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: errClosed.Error()})
-			return // abandoned
+			return false // abandoned
 		}
 	}
 	sc.trace.Mark("fanout", time.Since(start))
@@ -492,7 +610,7 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 				// The resolution's flush failed (crash, or fenced mid-ack):
 				// the outcome this snapshot would have placed itself against
 				// may not exist in the next view, so the response is dropped.
-				return // abandoned: scratch leaks like other abandon paths
+				return false // abandoned: scratch leaks like other abandon paths
 			}
 			if out.committed && out.tc <= tsnap {
 				for _, kv := range out.writes {
@@ -505,7 +623,7 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 			}
 		case <-srv.quit:
 			cw.Send(&wire.Response{ID: req.ID, Op: req.Op, Err: errClosed.Error()})
-			return // abandoned
+			return false // abandoned
 		}
 	}
 
@@ -514,7 +632,7 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 	// portion queued one release; on a failed flush the response is dropped
 	// (the connection is being torn down anyway).
 	if !sc.join.wait(fanout - followerShards) {
-		return // abandoned: scratch leaks like other abandon paths
+		return false // abandoned: scratch leaks like other abandon paths
 	}
 
 	// Render: each key's newest version at or below t_snap. A key with no
@@ -535,7 +653,5 @@ func (srv *Server) readOnly(req *wire.Request, cw *connWriter) {
 	sc.trace.Mark("snap", total)
 	srv.metrics.slow.Record("ro-txn", req.ID, &sc.trace, total)
 	cw.Send(resp)
-	if clean {
-		sc.release(srv)
-	}
+	return clean
 }

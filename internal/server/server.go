@@ -267,6 +267,11 @@ type Server struct {
 	// and metrics are built, immutable after Open.
 	admitting bool
 
+	// reads is the registry of in-flight snapshot reads, the source of the
+	// floor the shard stores (and, through the replication log, the
+	// followers') are trimmed to; see readFloor.
+	reads readFloor
+
 	// roPool recycles snapshot-read fan-out scratch (see roScratch);
 	// txnPool recycles the RW coordinator's per-transaction plan (see
 	// txnPlan).
@@ -393,6 +398,8 @@ func open(cfg Config, seed []PromotedShard) (*Server, error) {
 		replicas:  map[string]*replicaReg{},
 		closeDone: make(chan struct{}),
 	}
+	srv.reads.clock = srv.clock
+	srv.reads.lag = truetime.Timestamp(readLag(&cfg))
 	srv.roPool.New = func() any { return srv.newROScratch() }
 	srv.txnPool.New = func() any { return srv.newTxnPlan() }
 	chaos := replication.Chaos{

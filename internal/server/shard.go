@@ -150,6 +150,19 @@ type shard struct {
 	prepared map[uint64]*prepEntry
 	// roBlocked are parked snapshot reads waiting on their blocking set B.
 	roBlocked []*roWaiter
+
+	// floor is the read floor the store was last advanced to: fetched from
+	// the server's registry once per drain (no snapshot read anyone will use
+	// executes below it — see readFloor), and stamped by flush on the
+	// replication batch's tail so the followers' stores follow. Loop-only.
+	floor truetime.Timestamp
+	// written counts the versions this shard has put into its store
+	// (starting from what recovery or a promotion seed left there), so
+	// written − Len is what trimming has dropped. Loop-only; versions and
+	// trimmed are its per-drain copies for the metrics scrape.
+	written  int64
+	versions atomic.Int64
+	trimmed  atomic.Int64
 }
 
 func newShard(id int, srv *Server) *shard {
@@ -177,6 +190,12 @@ func (s *shard) nextTS() truetime.Timestamp {
 	}
 	s.maxTS = ts
 	return ts
+}
+
+// write installs one committed version. Loop-only.
+func (s *shard) write(key, value string, ts truetime.Timestamp) {
+	s.store.Write(key, value, ts)
+	s.written++
 }
 
 // resolvePrepared removes a transaction from the prepared set, notifies RO
@@ -298,9 +317,7 @@ func (s *shard) maybeCheckpoint() {
 	if s.repl != nil {
 		cp.Seq = s.repl.NextSeq()
 	}
-	s.store.Dump(func(key string, v mvstore.Version) {
-		cp.Vals = append(cp.Vals, wire.ReplVal{Key: key, Value: v.Value, TS: int64(v.TS)})
-	})
+	cp.Vals = s.dump()
 	if err := s.wal.Rotate(); err != nil {
 		s.ckptBusy.Store(false)
 		return
@@ -322,6 +339,17 @@ func (s *shard) maybeCheckpoint() {
 	}
 	s.srv.loopWG.Add(1)
 	go s.writeCheckpoint(cp)
+}
+
+// dump copies the store for a checkpoint or a catch-up snapshot: every
+// version it holds, in one slice made at its final size — the loop is not
+// serving while it fills. Loop-only (or before the loops start).
+func (s *shard) dump() []wire.ReplVal {
+	vals := make([]wire.ReplVal, 0, s.store.Len())
+	s.store.Dump(func(key string, v mvstore.Version) {
+		vals = append(vals, wire.ReplVal{Key: key, Value: v.Value, TS: int64(v.TS)})
+	})
+	return vals
 }
 
 // writeCheckpoint installs the cut off the loop and deletes the
@@ -351,9 +379,18 @@ func (s *shard) loop() {
 	depth := s.srv.metrics.applyDepth
 	batch := s.srv.metrics.applyBatch
 	max := s.srv.cfg.ApplyBatchMax
+	s.written = int64(s.store.Len())
+	s.versions.Store(s.written)
 	for {
 		select {
 		case fn := <-s.ch:
+			// One read floor per drain: its writes trim to it, its flush
+			// ships it. Any floor stays valid once computed, so the drain's
+			// own snapshot reads are at or above it too.
+			if f := s.srv.reads.floor(); f > s.floor {
+				s.floor = f
+				s.store.Advance(f)
+			}
 			// Queue depth at dequeue: how many closures were waiting
 			// behind this one. The saturation signal for the shard.
 			depth.Observe(int64(len(s.ch)))
@@ -372,6 +409,9 @@ func (s *shard) loop() {
 			}
 			batch.Observe(int64(n))
 			s.flush()
+			held := int64(s.store.Len())
+			s.versions.Store(held)
+			s.trimmed.Store(s.written - held)
 		case <-s.srv.quit:
 			// Graceful exit: flush the tail batch so everything already
 			// appended becomes durable and every queued exposure is
@@ -451,7 +491,7 @@ func (s *shard) put(req *wire.Request, cw *connWriter, done func()) {
 	txn := s.srv.newTxnID()
 	apply := func() {
 		ts := s.nextTS()
-		s.store.Write(req.Key, req.Value, ts)
+		s.write(req.Key, req.Value, ts)
 		wkvs := []wire.KV{{Key: req.Key, Value: req.Value}}
 		s.walAppend(wal.KindCommit, uint64(txn.Seq), ts, 0, wkvs)
 		s.replicate(replication.EntryCommit, uint64(txn.Seq), ts, wkvs)

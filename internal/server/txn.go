@@ -263,7 +263,7 @@ func (sl *txnSlot) applyStep() {
 		p.vers[sl.readPos[i]] = int64(v.TS)
 	}
 	for _, kv := range sl.writes {
-		s.store.Write(kv.Key, kv.Value, tc)
+		s.write(kv.Key, kv.Value, tc)
 	}
 	if tc > s.maxTS {
 		s.maxTS = tc

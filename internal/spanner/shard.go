@@ -122,6 +122,8 @@ func NewShard(index int, cfg *Config, clock *truetime.Clock) *Shard {
 func (s *Shard) SetReplication(l *replication.Leader) { s.repl = l }
 
 // Init implements sim.Initer: it arms the version-GC timer when enabled.
+// The timer only raises the store's floor; each key's old versions go at its
+// next write (mvstore.Store.Advance).
 func (s *Shard) Init(ctx *sim.Context) {
 	if s.cfg.GCInterval <= 0 {
 		return
@@ -133,9 +135,7 @@ func (s *Shard) Init(ctx *sim.Context) {
 	var tick func(*sim.Context)
 	tick = func(ctx *sim.Context) {
 		floor := s.clock.Now(ctx.Now()).Earliest - truetime.Timestamp(window)
-		if floor > 0 {
-			s.store.GC(floor)
-		}
+		s.store.Advance(floor)
 		ctx.After(s.cfg.GCInterval, tick)
 	}
 	ctx.After(s.cfg.GCInterval, tick)

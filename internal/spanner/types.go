@@ -116,8 +116,9 @@ type Config struct {
 	// contention makes t_ee estimates stale and forces more RO blocking.
 	// Ablation only.
 	DisableOpt2 bool
-	// GCInterval, if positive, makes each shard periodically drop
-	// versions older than now − GCWindow, bounding memory in long runs.
+	// GCInterval, if positive, makes each shard periodically raise its
+	// store's floor to now − GCWindow, so writes drop the versions below
+	// it, bounding memory in long runs.
 	GCInterval sim.Time
 	// GCWindow is how much history GC retains (default 10 s).
 	GCWindow sim.Time

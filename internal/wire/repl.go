@@ -28,6 +28,9 @@ type ReplEntry struct {
 	TS int64
 	// Watermark is the leader's safe time at append.
 	Watermark int64
+	// Floor is the leader's read floor at append (0 except on a batch's
+	// tail entry): followers trim their stores to it.
+	Floor int64
 	// Epoch is the view epoch the leader stamped on the entry at append.
 	// Followers drop entries from an epoch below their fence floor, which
 	// is what keeps a deposed leader's late appends out of the new view.
@@ -53,6 +56,7 @@ func AppendReplEntries(buf []byte, es []ReplEntry) []byte {
 		buf = binary.AppendUvarint(buf, e.TxnID)
 		buf = binary.AppendVarint(buf, e.TS)
 		buf = binary.AppendVarint(buf, e.Watermark)
+		buf = binary.AppendVarint(buf, e.Floor)
 		buf = binary.AppendUvarint(buf, e.Epoch)
 		buf = binary.AppendUvarint(buf, uint64(len(e.Writes)))
 		for _, kv := range e.Writes {
@@ -78,6 +82,7 @@ func DecodeReplEntries(payload []byte) ([]ReplEntry, error) {
 		e.TxnID = d.uvarint()
 		e.TS = d.varint()
 		e.Watermark = d.varint()
+		e.Floor = d.varint()
 		e.Epoch = d.uvarint()
 		if w := d.count(); w > 0 {
 			e.Writes = make([]KV, w)

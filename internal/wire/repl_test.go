@@ -10,9 +10,9 @@ import (
 func sampleReplEntries() []ReplEntry {
 	return []ReplEntry{
 		{Seq: 1, Kind: 1, TxnID: 7, TS: 100, Watermark: 90}, // prepare
-		{Seq: 2, Kind: 4, TS: 0, Watermark: 104},            // heartbeat
+		{Seq: 2, Kind: 4, TS: 0, Watermark: 104, Floor: 99}, // heartbeat, a batch's tail
 		{Seq: 3, Kind: 3, TxnID: 7, TS: 0, Watermark: 104},  // abort
-		{Seq: 1<<64 - 1, Kind: 2, TxnID: 1<<64 - 1, TS: 1<<62 - 1, Watermark: -1,
+		{Seq: 1<<64 - 1, Kind: 2, TxnID: 1<<64 - 1, TS: 1<<62 - 1, Watermark: -1, Floor: 1<<62 - 1,
 			Writes: []KV{{"k1", "v1"}, {"k2", ""}, {"", "v3"}}}, // commit, extreme fields
 	}
 }
